@@ -39,6 +39,7 @@ from .convexity import (
     convex_hull,
     convexity_oracle,
     cross,
+    decide_convexity,
     is_digitally_convex,
     is_nw_convex,
     nw_convex_oracle,
@@ -93,6 +94,7 @@ __all__ = [
     "convex_hull",
     "convexity_oracle",
     "cross",
+    "decide_convexity",
     "delta",
     "delta_circular",
     "detect_first_intersection",

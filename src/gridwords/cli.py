@@ -15,13 +15,12 @@ from .chain import (
     delta,
     is_closed,
     is_simple,
-    rotate,
     salient_reentrant,
     trace,
     turning_number,
 )
 from .chainfile import ChainRecord, parse_chain_file
-from .convexity import _ARC_FRAMES, is_digitally_convex, split_extremal
+from .convexity import decide_convexity
 from .generate import gen_random_polyomino
 from .lyndon import christoffel, format_factorization, lyndon_factorize
 from .quadgraph import detect_first_intersection
@@ -112,17 +111,11 @@ def cmd_convex(args):
     reports = []
     for rec in _collect_records(args.input):
         report = _named(rec)
-        split = split_extremal(rec.word)
-        report["convex"] = is_digitally_convex(rec.word)
+        split, arc_factors, convex = decide_convexity(rec.word)
+        report["convex"] = convex
         report["arcs"] = split.arcs
-        factors = {}
-        for i, quarter in _ARC_FRAMES:
-            mapped = rotate(split.arcs[i][::-1], quarter)
-            factors[i] = lyndon_factorize(mapped) if mapped else []
-        for i in range(4):
-            report[f"factors{i + 1}"] = ",".join(
-                f"({f})^{n}" for f, n in factors[i]
-            )
+        for i, factors in enumerate(arc_factors):
+            report[f"factors{i + 1}"] = ",".join(f"({f})^{n}" for f, n in factors)
         reports.append(report)
     _emit(reports, args)
     return 1 if args.check and any(not r["convex"] for r in reports) else 0

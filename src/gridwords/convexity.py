@@ -9,6 +9,7 @@ enforces it exhaustively on small words.
 """
 
 from dataclasses import dataclass
+from operator import floordiv
 
 from .chain import orient_ccw, rotate, trace
 from .lyndon import is_christoffel, lyndon_factorize
@@ -59,10 +60,6 @@ def is_nw_convex(word):
     return all(is_christoffel(f) for f, _ in lyndon_factorize(word))
 
 
-def _floor_div(num, den):
-    return num // den
-
-
 def _ceil_div(num, den):
     return -((-num) // den)
 
@@ -100,7 +97,7 @@ def nw_convex_oracle(word):
         if height.get(x, -1) < y:
             height[x] = y
     upper, _ = convex_hull(vertices)
-    hull_top = _envelope(upper, _floor_div, max)
+    hull_top = _envelope(upper, floordiv, max)
     return all(hull_top[x] <= height[x] for x in height)
 
 
@@ -140,32 +137,39 @@ def split_extremal(word):
     if not 0 < cs <= ce <= cn:
         raise ValueError("extremal points out of cyclic order")
     arcs = (rotated[:cs], rotated[cs:ce], rotated[ce:cn], rotated[cn:])
-    pos = trace(rotated).vertices
-    return ExtremalSplit(rotated, arcs, pos[0], pos[cs], pos[ce], pos[cn])
+    wx, wy = verts[iw]
+    corners = [(verts[i][0] - wx, verts[i][1] - wy) for i in (iw, i_s, ie, i_n)]
+    return ExtremalSplit(rotated, arcs, *corners)
 
 
-# Mapping of each arc into the {0,1} frame.  Read clockwise (reversed),
-# the arcs N->W, E->N, S->E, W->S carry alphabets {2,3}, {1,2}, {0,1},
-# {0,3}; the rotation below is the unique one sending each into {0,1}.
-_ARC_FRAMES = ((3, 2), (2, 3), (1, 0), (0, 1))  # (arc index, quarter turns)
+def decide_convexity(word):
+    """Word-route convexity as (split, factors, convex).
+
+    `split` is split_extremal(word).  Each arc is reversed (read clockwise)
+    and turned into the {0,1} frame: the arcs W->S, S->E, E->N, N->W carry
+    alphabets {0,3}, {0,1}, {1,2}, {2,3}, and the quarter turns (1, 0, 3, 2)
+    are the unique ones sending each into {0,1}.  `factors[i]` is the
+    Lyndon factorization of mapped arc i.  `convex` holds iff every mapped
+    arc is over {0,1} and every factor is a Christoffel word; an arc that
+    leaves {0,1} makes the word non-convex, not an error.  Raises
+    ValueError for non-boundary input.
+    """
+    split = split_extremal(word)
+    mapped = [rotate(arc[::-1], q) for arc, q in zip(split.arcs, (1, 0, 3, 2))]
+    factors = tuple(lyndon_factorize(v) for v in mapped)
+    convex = not any(v.strip("01") for v in mapped) and all(
+        is_christoffel(f) for arc in factors for f, _ in arc
+    )
+    return split, factors, convex
 
 
 def is_digitally_convex(word):
     """Digital convexity of the region enclosed by a boundary word.
 
-    Splits at the extremal points and tests NW-convexity of every arc in
-    its own frame.  Raises ValueError for non-boundary input; an arc whose
-    letters leave its frame's {0,1} image makes the word non-convex, not an
-    error.
+    The verdict of decide_convexity; raises ValueError for non-boundary
+    input.
     """
-    arcs = split_extremal(word).arcs
-    for i, quarter in _ARC_FRAMES:
-        v = rotate(arcs[i][::-1], quarter)
-        if v.strip("01"):
-            return False
-        if not is_nw_convex(v):
-            return False
-    return True
+    return decide_convexity(word)[2]
 
 
 def convexity_oracle(word):
@@ -177,7 +181,7 @@ def convexity_oracle(word):
     """
     cells = enclosed_cells(orient_ccw(word))
     upper, lower = convex_hull(cells)
-    top = _envelope(upper, _floor_div, max)
+    top = _envelope(upper, floordiv, max)
     bottom = _envelope(lower, _ceil_div, min)
     for x, hi in top.items():
         for y in range(bottom[x], hi + 1):

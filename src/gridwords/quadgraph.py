@@ -13,7 +13,12 @@ _X, _Y, _FATHER, _VISITED = 0, 1, 2, 3
 _CHILD = 4  # four slots indexed by alpha + 2*beta, child point (2x+alpha, 2y+beta)
 _LINK = 8   # four slots indexed by letter, neighbor link memo
 
-_STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# Per letter: the coordinate the step changes (_X or _Y), the value of its
+# last bit for which the neighbor keeps the father, and the step (dx, dy).
+_MOVE = ((_X, 0, 1, 0), (_Y, 0, 0, 1), (_X, 1, -1, 0), (_Y, 1, 0, -1))
+
+# Chain letters to letter codes 0-3, for walking an encoded word.
+_CODES = bytes.maketrans(b"0123", bytes(range(4)))
 
 
 def father_point(x, y):
@@ -27,15 +32,10 @@ def sibling_condition(eps, x, y):
     Decided by the last bit of the coordinate the step changes; when false,
     the neighbor's father is instead the father's eps-neighbor.
     """
-    if eps == 0:
-        return (x & 1) == 0
-    if eps == 1:
-        return (y & 1) == 0
-    if eps == 2:
-        return (x & 1) == 1
-    if eps == 3:
-        return (y & 1) == 1
-    raise ValueError(f"letter out of range: {eps!r}")
+    if not 0 <= eps <= 3:
+        raise ValueError(f"letter out of range: {eps!r}")
+    axis, keep, _, _ = _MOVE[eps]
+    return ((x, y)[axis] & 1) == keep
 
 
 def _new_node(x, y, father):
@@ -94,24 +94,11 @@ class QuadGraph:
         n = node[_LINK + eps]
         if n is not None:
             return n
-        x, y = node[_X], node[_Y]
-        if eps == 0:
-            sib = (x & 1) == 0
-            nx, ny = x + 1, y
-        elif eps == 1:
-            sib = (y & 1) == 0
-            nx, ny = x, y + 1
-        elif eps == 2:
-            sib = (x & 1) == 1
-            nx, ny = x - 1, y
-        else:
-            sib = (y & 1) == 1
-            nx, ny = x, y - 1
-        if sib:
-            f = node[_FATHER]
-        else:
-            f = self._neighbor(node[_FATHER], eps)
-        n = self._child(f, nx & 1, ny & 1)
+        axis, keep, dx, dy = _MOVE[eps]
+        f = node[_FATHER]
+        if node[axis] & 1 != keep:
+            f = self._neighbor(f, eps)
+        n = self._child(f, (node[_X] + dx) & 1, (node[_Y] + dy) & 1)
         self._link(node, eps, n)
         return n
 
@@ -128,12 +115,26 @@ class QuadGraph:
         cur = self._current
         if eps == 2 and cur[_X] == 0 or eps == 3 and cur[_Y] == 0:
             raise ValueError("out of quadrant")
-        n = self._neighbor(cur, eps)
-        self._current = n
-        if n[_VISITED]:
-            return True
-        n[_VISITED] = True
-        return False
+        return self._first_revisit((eps,)) is not None
+
+    def _first_revisit(self, codes):
+        """Walk letter codes 0-3; (letters taken, point) at the first revisit.
+
+        None if every target is new.  Trusts its input: callers validate.
+        """
+        cur = self._current
+        neighbor = self._neighbor
+        for i, eps in enumerate(codes):
+            n = cur[_LINK + eps]
+            if n is None:
+                n = neighbor(cur, eps)
+            cur = n
+            if n[_VISITED]:
+                self._current = cur
+                return i + 1, (n[_X], n[_Y])
+            n[_VISITED] = True
+        self._current = cur
+        return None
 
     # -- introspection (tests and reporting) --------------------------------
 
@@ -205,7 +206,7 @@ def normalize(word):
             if y < miny:
                 miny = y
         else:
-            raise ValueError(f"invalid chain letter {chr(b)!r}")
+            raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
     return -minx, -miny
 
 
@@ -218,16 +219,8 @@ def detect_first_intersection(word):
     original frame (path started at (0,0)).
     """
     dx, dy = normalize(word)
-    graph = QuadGraph((dx, dy))
-    cur = graph._current
-    neighbor = graph._neighbor
-    for i, b in enumerate(word.encode()):
-        eps = b - 48
-        n = cur[_LINK + eps]
-        if n is None:
-            n = neighbor(cur, eps)
-        if n[3]:  # _VISITED
-            return i + 1, (n[0] - dx, n[1] - dy)
-        n[3] = True
-        cur = n
-    return None
+    hit = QuadGraph((dx, dy))._first_revisit(word.encode().translate(_CODES))
+    if hit is None:
+        return None
+    i, (x, y) = hit
+    return i, (x - dx, y - dy)
