@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Record commands (analyze, intersect, convex, tile, render) accept literal
-chain words, chain-file paths, or `-` for a chain file on stdin.  Reports
-are line-oriented key=value text or JSON with --format machine.  Exit
-codes: 0 success, 1 failed --check, 2 input errors.
+chain words, chain-file paths, or `-` for a chain file on stdin.  An
+argument made only of the letters 0123 is always a word, so a chain file
+with such a name is passed with a directory part, as in `./0123`.
+Reports are line-oriented key=value text or JSON with --format machine.
+Commands that build words (christoffel, gen) produce at most 2^20
+letters per call.  Exit codes: 0 success, 1 failed --check, 2 input errors.
 """
 
 import argparse
@@ -26,6 +29,10 @@ from .lyndon import christoffel, format_factorization, lyndon_factorize
 from .quadgraph import detect_first_intersection
 from .render import render_svg
 from .tiling import bn_factorizations
+
+# Letters a word-building command may produce in one call: the length of
+# the longest walks the package is benchmarked on.
+_MAX_LETTERS = 1 << 20
 
 
 def _collect_records(inputs):
@@ -165,6 +172,11 @@ def cmd_lyndon(args):
 
 
 def cmd_christoffel(args):
+    if args.a + args.b > _MAX_LETTERS:
+        raise ValueError(
+            f"christoffel {args.a} {args.b} would build {args.a + args.b} letters; "
+            f"the limit is {_MAX_LETTERS}"
+        )
     word = christoffel(args.a, args.b)
     if args.format == "machine":
         print(json.dumps({"a": args.a, "b": args.b, "word": word}))
@@ -193,6 +205,15 @@ def cmd_render(args):
 
 
 def cmd_gen(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    # a polyomino of c cells has perimeter at most 2c + 2
+    most = args.count * (2 * args.cells + 2)
+    if most > _MAX_LETTERS:
+        raise ValueError(
+            f"--cells {args.cells} --count {args.count} may build {most} letters; "
+            f"the limit is {_MAX_LETTERS}"
+        )
     words = [
         str(gen_random_polyomino(args.cells, args.seed + k)) for k in range(args.count)
     ]
@@ -220,7 +241,11 @@ def _build_parser():
 
     def record_command(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("input", nargs="+", help="chain word, chain file, or -")
+        p.add_argument(
+            "input", nargs="+",
+            help="chain word, chain file, or -; a file named only by 0123 "
+            "letters needs a directory part, e.g. ./0123",
+        )
         p.set_defaults(func=func)
         return p
 

@@ -158,3 +158,67 @@ def boundary_words(perimeter):
             word.pop()
 
     yield from rec(1, 0, 0)
+
+
+def _blocks_from_cuts_oracle(word, cuts):
+    h = len(word) // 2
+    m = cuts[0]
+    r = word[m:] + word[:m]
+    starts = [c - m for c in cuts if c - m < h] + [h]
+    parts = [r[p:q] for p, q in zip(starts, starts[1:])]
+    while len(parts) < 3:
+        parts.append("")
+    return cuts, tuple(parts)
+
+
+def bn_factorizations_oracle(word):
+    """Every factorization X Y Z hat(X) hat(Y) hat(Z), as (cuts, blocks).
+
+    The exhaustive search over every start s and block lengths a, b, with
+    a dict-memoised block check: O(n^3) letter comparisons.  Cuts are on
+    the least rotation, deduplicated by cut set and sorted, as in
+    gridwords.bn_factorizations.
+    """
+    if len(word) % 2 or not word:
+        return []
+    x = sum(STEP[ch][0] for ch in word)
+    y = sum(STEP[ch][1] for ch in word)
+    hit = first_intersection_oracle(word)
+    if (x, y) != (0, 0) or (hit is not None and hit[0] != len(word)):
+        return []
+    k = min_rotation_brute(word)
+    w = word[k:] + word[:k]
+    n = len(w)
+    h = n // 2
+    d = w + w
+    hd = d.translate(str.maketrans("0123", "2301"))
+    block_ok = {}
+
+    def ok(p, q):
+        v = block_ok.get((p, q))
+        if v is None:
+            # the block's antipodal arc must be its own reversal in the
+            # half-turned frame, i.e. equal hat(block)
+            v = d[p + h : q + h] == hd[p:q][::-1]
+            block_ok[(p, q)] = v
+        return v
+
+    found = {}
+    for s in range(h):
+        for a in range(h + 1):
+            if not ok(s, s + a):
+                continue
+            for b in range(h - a + 1):
+                z = h - a - b
+                if (a == 0) + (b == 0) + (z == 0) >= 2:
+                    continue
+                if not ok(s + a, s + a + b) or not ok(s + a + b, s + h):
+                    continue
+                cuts = tuple(
+                    sorted(
+                        {s, s + a, s + a + b, s + h, (s + h + a) % n, (s + h + a + b) % n}
+                    )
+                )
+                if cuts not in found:
+                    found[cuts] = _blocks_from_cuts_oracle(w, cuts)
+    return [found[c] for c in sorted(found)]

@@ -1,0 +1,78 @@
+"""Size limits of the word-building commands, and the chain-file escape."""
+
+import json
+
+from gridwords import cli
+
+
+def run(capsys, *argv):
+    rc = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+class TestGenLimits:
+    def test_count_zero(self, capsys):
+        rc, out, err = run(capsys, "gen", "--count", 0)
+        assert (rc, out) == (2, "")
+        assert err == "error: --count must be at least 1, got 0\n"
+
+    def test_count_negative(self, capsys):
+        rc, out, err = run(capsys, "gen", "--count", -1)
+        assert (rc, out) == (2, "")
+        assert err == "error: --count must be at least 1, got -1\n"
+
+    def test_cells_over_limit(self, capsys):
+        cells = cli._MAX_LETTERS // 2
+        rc, out, err = run(capsys, "gen", "--cells", cells)
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: --cells {cells} --count 1 may build {2 * cells + 2} letters; "
+            f"the limit is {cli._MAX_LETTERS}\n"
+        )
+
+    def test_count_times_cells_over_limit(self, capsys):
+        count = cli._MAX_LETTERS // 4 + 1
+        rc, out, err = run(capsys, "gen", "--cells", 1, "--count", count)
+        assert (rc, out) == (2, "")
+        assert f"may build {4 * count} letters" in err
+
+    def test_largest_cells_within_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 22)
+        assert run(capsys, "gen", "--cells", 10)[0] == 0
+        assert run(capsys, "gen", "--cells", 11)[0] == 2
+        rc, out, _ = run(capsys, "gen", "--cells", 4, "--count", 2, "--format", "machine")
+        assert rc == 0 and len(json.loads(out)["words"]) == 2
+
+
+class TestChristoffelLimits:
+    def test_over_limit(self, capsys):
+        a = cli._MAX_LETTERS
+        rc, out, err = run(capsys, "christoffel", a, 1)
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: christoffel {a} 1 would build {a + 1} letters; "
+            f"the limit is {cli._MAX_LETTERS}\n"
+        )
+
+    def test_huge_counts_fail_fast(self, capsys):
+        limit = cli._MAX_LETTERS
+        rc, _, err = run(capsys, "christoffel", 10**30, 10**30 + 1)
+        assert rc == 2 and f"the limit is {limit}" in err
+
+    def test_at_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
+        assert run(capsys, "christoffel", 5, 3) == (0, "00100101\n", "")
+        assert run(capsys, "christoffel", 5, 4)[0] == 2
+
+
+class TestChainFileEscape:
+    def test_letter_named_file_through_dot_slash(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "0123").write_text("ell: 00121233\n")
+        monkeypatch.chdir(tmp_path)
+        rc, out, _ = run(capsys, "analyze", "./0123")
+        assert rc == 0
+        assert out == "name=ell word=00121233 closed=true simple=true T=1 S=5 R=1\n"
+        # the bare name stays a literal word
+        rc, out, _ = run(capsys, "analyze", "0123")
+        assert out == "word=0123 closed=true simple=true T=1 S=4 R=0\n"
