@@ -94,11 +94,9 @@ def is_closed(word):
 
 def is_simple(word):
     """True iff no grid point is visited twice, except a closed word's final
-    return to its start."""
+    return to its start: the first revisit, if any, is (len(word), (0, 0))."""
     hit = detect_first_intersection(word)
-    if hit is None:
-        return True
-    return hit[0] == len(word) and is_closed(word)
+    return hit is None or hit == (len(word), (0, 0))
 
 
 @dataclass(frozen=True)
@@ -153,29 +151,47 @@ def turning_number(word, circular=False):
     return TurningNumber(d.count("1") - d.count("3"))
 
 
+def path_facts(word):
+    """(closed, simple, turning, corners) of a path, from one walk.
+
+    corners is (S, R) for a boundary word, else None.  A word is closed and
+    simple iff its first revisit is (len(word), (0, 0)); longer than 2, it
+    has no cancelling pair, even across the seam, so T and (S, R) need no
+    `reduce`: one count of its cyclic differences gives both.
+    """
+    hit = detect_first_intersection(word)
+    loop = hit == (len(word), (0, 0))  # closed and simple
+    if loop and len(word) > 2:
+        d = delta_circular(word)
+        left, right = d.count("1"), d.count("3")
+        corners = max(left, right), min(left, right)
+        return True, True, TurningNumber(left - right), corners
+    closed = is_closed(word)
+    return closed, loop or hit is None, turning_number(word, circular=closed), None
+
+
 def orient_ccw(word):
     """The word or its hat, whichever traverses the boundary counterclockwise.
 
     Raises ValueError unless the input is a boundary word (closed, simple,
-    turning number +-1).
+    turning number +-1).  One walk, through `path_facts`.
     """
-    if word and is_closed(word) and is_simple(word):
-        qt = turning_number(word, circular=True).quarter_turns
-        if qt == 4:
-            return word
-        if qt == -4:
-            return hat(word)
-    raise ValueError("not a boundary word")
+    _, _, turning, corners = path_facts(word)
+    if corners is None:
+        raise ValueError("not a boundary word")
+    return word if turning.quarter_turns == 4 else hat(word)
 
 
 def salient_reentrant(word):
     """Counts (S, R) of salient and reentrant corners of a boundary word.
 
-    Orientation is normalized to counterclockwise first; then S and R are
-    the numbers of left and right turns read cyclically.  S - R = 4.
+    Left and right turns read cyclically counterclockwise, so S - R = 4.
+    One walk, through `path_facts`; raises ValueError for other words.
     """
-    d = delta_circular(orient_ccw(word))
-    return d.count("1"), d.count("3")
+    corners = path_facts(word)[3]
+    if corners is None:
+        raise ValueError("not a boundary word")
+    return corners
 
 
 def least_rotation(word):

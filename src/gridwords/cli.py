@@ -5,8 +5,8 @@ chain words, chain-file paths, or `-` for a chain file on stdin.  An
 argument made only of the letters 0123 is always a word, so a chain file
 with such a name is passed with a directory part, as in `./0123`.
 Reports are line-oriented key=value text or JSON with --format machine.
-Commands that build words (christoffel, gen) produce at most 2^20
-letters per call.  Exit codes: 0 success, 1 failed --check, 2 input errors.
+christoffel and gen build at most 2^20 letters and render draws at most
+2^20 grid dots per call.  Exit codes: 0 success, 1 failed --check, 2 input errors.
 """
 
 import argparse
@@ -14,24 +14,17 @@ import json
 import os
 import sys
 
-from .chain import (
-    delta,
-    is_closed,
-    is_simple,
-    salient_reentrant,
-    trace,
-    turning_number,
-)
+from .chain import delta, path_facts, trace
 from .chainfile import ChainRecord, parse_chain_file
 from .convexity import decide_convexity
 from .generate import gen_random_polyomino
 from .lyndon import christoffel, format_factorization, lyndon_factorize
 from .quadgraph import detect_first_intersection
 from .render import render_svg
-from .tiling import bn_factorizations
+from .tiling import TileClass, bn_factorizations
 
-# Letters a word-building command may produce in one call: the length of
-# the longest walks the package is benchmarked on.
+# Letters christoffel and gen may build, and grid dots render may draw, in
+# one call: the length of the longest walks the package is benchmarked on.
 _MAX_LETTERS = 1 << 20
 
 
@@ -85,14 +78,10 @@ def _emit(reports, args, to_text=_print_lines):
 def cmd_analyze(args):
     reports = []
     for rec in _collect_records(args.input):
-        w = rec.word
         report = _named(rec)
-        closed = is_closed(w)
-        report["closed"] = closed
-        report["simple"] = is_simple(w)
-        report["T"] = str(turning_number(w, circular=closed))
-        if closed and report["simple"] and report["T"] in ("1", "-1"):
-            report["S"], report["R"] = salient_reentrant(w)
+        closed, simple, turning, corners = path_facts(rec.word)
+        report.update(closed=closed, simple=simple, T=str(turning))
+        report.update(zip("SR", corners or ()))
         reports.append(report)
     _emit(reports, args)
     failed = any(not (r["closed"] and r["simple"]) for r in reports)
@@ -108,7 +97,7 @@ def cmd_intersect(args):
         report["intersects"] = hit is not None
         if hit is not None:
             report["index"], report["point"] = hit
-        report["simple"] = hit is None or (hit[0] == len(w) and is_closed(w))
+        report["simple"] = hit is None or hit == (len(w), (0, 0))
         reports.append(report)
     _emit(reports, args)
     return 1 if args.check and any(not r["simple"] for r in reports) else 0
@@ -133,12 +122,8 @@ def cmd_tile(args):
     for rec in _collect_records(args.input):
         report = _named(rec)
         facts = bn_factorizations(rec.word)
-        squares = sum(f.is_square for f in facts)
-        if not facts:
-            report["class"] = "not-exact"
-        else:
-            report["class"] = "square" if squares else "hexagon"
-        report["squares"] = squares
+        report["class"] = TileClass.of(facts).value
+        report["squares"] = sum(f.is_square for f in facts)
         report["factorizations"] = [
             {"cuts": list(f.cuts), "X": f.blocks[0], "Y": f.blocks[1], "Z": f.blocks[2]}
             for f in facts
@@ -190,12 +175,20 @@ def cmd_render(args):
     if len(records) != 1:
         raise ValueError("render expects exactly one word")
     rec = records[0]
+    path = trace(rec.word, rec.start or (0, 0))
+    xs, ys = zip(*path.vertices)
+    width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
+    if width * height > _MAX_LETTERS:
+        raise ValueError(
+            f"render of a {width}x{height} box would draw {width * height} grid dots; "
+            f"the limit is {_MAX_LETTERS}"
+        )
     labels = None
     if args.labels == "letters":
         labels = list(rec.word)
     elif args.labels == "delta" and rec.word:
         labels = [None] + list(delta(rec.word))
-    svg = render_svg(trace(rec.word, rec.start or (0, 0)), labels=labels)
+    svg = render_svg(path, labels=labels)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")

@@ -24,6 +24,13 @@ class TileClass(Enum):
     SQUARE = "square"
     HEXAGON = "hexagon"
 
+    @classmethod
+    def of(cls, facts):
+        """Class of a tile from its factorizations, preferring square."""
+        if not facts:
+            return cls.NOT_EXACT
+        return cls.SQUARE if any(f.is_square for f in facts) else cls.HEXAGON
+
 
 @dataclass(frozen=True)
 class BNFactorization:
@@ -65,8 +72,7 @@ def bn_factorizations(word):
     """All factorizations X Y Z hat(X) hat(Y) hat(Z) of a boundary word.
 
     Every cut set on the canonical rotation w, deduplicated and returned
-    sorted.  Non-boundary or odd-length input yields no factorizations
-    (such words never tile).
+    sorted; none for a word that is not closed and simple.
 
     With n = |w|, h = n/2 and d = w + w, block [p, q) is valid when its
     antipodal arc d[p+h:q+h] equals hat(d[p:q]).  Interleaving the arcs
@@ -79,8 +85,6 @@ def bn_factorizations(word):
     work is O(n + V + F) for V valid blocks and F factorizations; a k x k
     square has V ~ 2k^2, every one of them inside a run of equal letters.
     """
-    if len(word) % 2 or not word:
-        return []
     if not (is_closed(word) and is_simple(word)):
         return []
     w = canonical_rotation(word)
@@ -115,12 +119,7 @@ def bn_factorizations(word):
 
 def classify(word):
     """not-exact / square / hexagon, preferring square when both exist."""
-    facts = bn_factorizations(word)
-    if not facts:
-        return TileClass.NOT_EXACT
-    if any(f.is_square for f in facts):
-        return TileClass.SQUARE
-    return TileClass.HEXAGON
+    return TileClass.of(bn_factorizations(word))
 
 
 def square_count(word):

@@ -1,4 +1,5 @@
-"""Size limits of the word-building commands, and the chain-file escape."""
+"""Size limits of the word-building commands and render, and the chain-file
+escape."""
 
 import json
 
@@ -64,6 +65,24 @@ class TestChristoffelLimits:
         monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
         assert run(capsys, "christoffel", 5, 3) == (0, "00100101\n", "")
         assert run(capsys, "christoffel", 5, 4)[0] == 2
+
+
+class TestRenderLimits:
+    def test_over_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
+        rc, out, err = run(capsys, "render", "0011")
+        assert (rc, out) == (2, "")
+        assert err == "error: render of a 3x3 box would draw 9 grid dots; the limit is 8\n"
+
+    def test_at_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 9)
+        rc, out, err = run(capsys, "render", "0011")
+        assert (rc, err) == (0, "")
+        assert out.count("<circle") == 9 + 1  # the grid dots and the start marker
+
+    def test_long_word_in_a_small_box_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 4)
+        assert run(capsys, "render", "0123" * 1000)[0] == 0
 
 
 class TestChainFileEscape:
