@@ -36,13 +36,9 @@ from .chainfile import (
 )
 from .convexity import (
     ExtremalSplit,
-    convex_hull,
-    convexity_oracle,
-    cross,
     decide_convexity,
     is_digitally_convex,
     is_nw_convex,
-    nw_convex_oracle,
     split_extremal,
 )
 from .generate import gen_random_polyomino
@@ -91,9 +87,6 @@ __all__ = [
     "canonical_rotation",
     "christoffel",
     "classify",
-    "convex_hull",
-    "convexity_oracle",
-    "cross",
     "decide_convexity",
     "delta",
     "delta_circular",
@@ -112,7 +105,6 @@ __all__ = [
     "least_rotation",
     "lyndon_factorize",
     "normalize",
-    "nw_convex_oracle",
     "orient_ccw",
     "parse_chain_file",
     "reconstruct",

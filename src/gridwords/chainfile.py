@@ -55,14 +55,12 @@ def parse_chain_file(data):
             body_start = colon + 1
         at = line.find("@", body_start)
         word_end = len(line) if at == -1 else at
-        letters = []
-        for i in range(body_start, word_end):
-            ch = line[i]
-            if ch.isspace():
-                continue
-            if ch not in "0123":
-                raise ChainFileError(f"invalid character {ch!r}", lineno, i + 1)
-            letters.append(ch)
+        body = line[body_start:word_end]
+        word = "".join(body.split())
+        bad = word.strip("0123")
+        if bad:
+            column = body_start + body.index(bad[0]) + 1
+            raise ChainFileError(f"invalid character {bad[0]!r}", lineno, column)
         start = None
         if at != -1:
             fields = line[at + 1 :].split()
@@ -71,7 +69,7 @@ def parse_chain_file(data):
                 start = (sx, sy)
             except ValueError:
                 raise ChainFileError("start point needs two integers", lineno) from None
-        records.append(ChainRecord("".join(letters), name, start))
+        records.append(ChainRecord(word, name, start))
     return ChainFile(tuple(records))
 
 

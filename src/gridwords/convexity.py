@@ -1,49 +1,16 @@
-"""Digital convexity of boundary words, two independent ways.
+"""Digital convexity of boundary words, decided on the word.
 
-The word route splits the counterclockwise boundary at its four extremal
-points, maps each arc into the {0,1} frame, and requires every Lyndon
-factor of every mapped arc to be a Christoffel word.  The oracle route
-fills the enclosed cells and checks that the convex hull of the cell set
-contains no extra lattice point.  The two must agree; the test suite
-enforces it exhaustively on small words.
+The boundary is split at its four extremal points, read counterclockwise;
+each arc is mapped into the {0,1} frame, and the region is digitally
+convex iff every Lyndon factor of every mapped arc is a Christoffel word.
+This is the package's one route; the fill-and-hull check that
+cross-validates it lives with the tests.
 """
 
 from dataclasses import dataclass
-from operator import floordiv
 
 from .chain import orient_ccw, rotate, trace
 from .lyndon import is_christoffel, lyndon_factorize
-from .polyomino import enclosed_cells
-
-
-def cross(o, a, b):
-    """Cross product of o->a with o->b; positive for a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
-
-
-def convex_hull(points):
-    """Monotone-chain hull as (upper, lower) vertex chains.
-
-    The upper chain runs from the lexicographically least point to the
-    greatest, the lower chain back again; collinear interior points are
-    dropped.  Integer arithmetic throughout.
-    """
-    pts = sorted(set(points))
-    if not pts:
-        raise ValueError("empty point set")
-    if len(pts) == 1:
-        return [pts[0]], [pts[0]]
-    upper = []
-    for p in pts:
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) >= 0:
-            upper.pop()
-        upper.append(p)
-    lower = []
-    for p in reversed(pts):
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) >= 0:
-            lower.pop()
-        lower.append(p)
-    return upper, lower
 
 
 def is_nw_convex(word):
@@ -58,47 +25,6 @@ def is_nw_convex(word):
     if bad:
         raise ValueError(f"letter outside {{0,1}}: {bad[0]!r}")
     return all(is_christoffel(f) for f, _ in lyndon_factorize(word))
-
-
-def _ceil_div(num, den):
-    return -((-num) // den)
-
-
-def _envelope(chain, rounding, better):
-    """Per-column integer bound under/over a hull chain."""
-    bounds = {}
-    for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
-        if xa == xb:
-            v = better(ya, yb)
-            bounds[xa] = better(bounds.get(xa, v), v)
-            continue
-        if xa > xb:
-            (xa, ya), (xb, yb) = (xb, yb), (xa, ya)
-        for x in range(xa, xb + 1):
-            v = rounding(ya * (xb - xa) + (yb - ya) * (x - xa), xb - xa)
-            bounds[x] = better(bounds.get(x, v), v)
-    if not bounds:  # single-vertex chain
-        x, y = chain[0]
-        bounds[x] = y
-    return bounds
-
-
-def nw_convex_oracle(word):
-    """Hull-gap oracle for is_nw_convex: no lattice point may lie strictly
-    above the path yet on or below its upper convex hull."""
-    if not word:
-        return True
-    bad = word.strip("01")
-    if bad:
-        raise ValueError(f"letter outside {{0,1}}: {bad[0]!r}")
-    vertices = trace(word).vertices
-    height = {}
-    for x, y in vertices:
-        if height.get(x, -1) < y:
-            height[x] = y
-    upper, _ = convex_hull(vertices)
-    hull_top = _envelope(upper, floordiv, max)
-    return all(hull_top[x] <= height[x] for x in height)
 
 
 @dataclass(frozen=True)
@@ -170,21 +96,3 @@ def is_digitally_convex(word):
     input.
     """
     return decide_convexity(word)[2]
-
-
-def convexity_oracle(word):
-    """Fill-and-hull convexity check, for cross-validation.
-
-    Fills the boundary, takes the hull of the cell set, and requires every
-    lattice point inside the hull to name a cell.  Cell lower-left corners
-    stand in for cell centers (a uniform half-unit translation).
-    """
-    cells = enclosed_cells(orient_ccw(word))
-    upper, lower = convex_hull(cells)
-    top = _envelope(upper, floordiv, max)
-    bottom = _envelope(lower, _ceil_div, min)
-    for x, hi in top.items():
-        for y in range(bottom[x], hi + 1):
-            if (x, y) not in cells:
-                return False
-    return True

@@ -46,16 +46,15 @@ class QuadGraph:
     """Growing quadtree graph tracking visited points of a lattice walk.
 
     Starts with the origin plus its two axis neighbors (linked), seeds the
-    walk at `start` (first quadrant), and exposes `step` which moves the
+    walk at `start` (first quadrant), and exposes `step`, which moves the
     current point by one letter and reports whether the target was already
-    visited.
+    visited, and `current`, the point reached.
     """
 
     def __init__(self, start=(0, 0)):
         root = _new_node(0, 0, None)
         root[_FATHER] = root  # lets neighbor resolution terminate at the top
         self._root = root
-        self._count = 1
         self._link(root, 0, self._child(root, 1, 0))
         self._link(root, 1, self._child(root, 0, 1))
         sx, sy = start
@@ -77,7 +76,6 @@ class QuadGraph:
         if node is None:
             node = _new_node(2 * parent[_X] + alpha, 2 * parent[_Y] + beta, parent)
             parent[i] = node
-            self._count += 1
         return node
 
     def _node(self, x, y):
@@ -136,57 +134,9 @@ class QuadGraph:
         self._current = cur
         return None
 
-    # -- introspection (tests and reporting) --------------------------------
-
     @property
     def current(self):
         return self._current[_X], self._current[_Y]
-
-    def __len__(self):
-        return self._count
-
-    def _walk(self):
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            yield node
-            for i in range(_CHILD, _CHILD + 4):
-                child = node[i]
-                if child is not None:
-                    stack.append(child)
-
-    def points(self):
-        return frozenset((n[_X], n[_Y]) for n in self._walk())
-
-    def visited_points(self):
-        return frozenset((n[_X], n[_Y]) for n in self._walk() if n[_VISITED])
-
-    def _find(self, point):
-        x, y = point
-        if x < 0 or y < 0:
-            return None
-        node = self._root
-        for k in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
-            node = node[_CHILD + ((x >> k) & 1) + 2 * ((y >> k) & 1)]
-            if node is None:
-                return None
-        return node
-
-    def father(self, point):
-        """Father point of an existing node; None for the root or absent points."""
-        node = self._find(point)
-        if node is None or node is self._root:
-            return None
-        f = node[_FATHER]
-        return f[_X], f[_Y]
-
-    def link(self, point, eps):
-        """Memoized eps-neighbor of an existing node, or None."""
-        node = self._find(point)
-        if node is None:
-            return None
-        n = node[_LINK + eps]
-        return None if n is None else (n[_X], n[_Y])
 
 
 def normalize(word):

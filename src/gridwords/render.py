@@ -1,17 +1,19 @@
 """Standalone SVG drawings of chain-code paths: grid dots, the path
-polyline, a start marker, and optional per-edge labels and cut markers.
-Meant for figure-sized words, not million-step paths.
+polyline, a start marker, and optional per-edge labels.  Meant for
+figure-sized words, not million-step paths.
 """
 
 from xml.sax.saxutils import escape
 
+SCALE = 24  # pixels per grid unit
+MARGIN = 1  # grid units of blank border around the bounding box
 
-def render_svg(path_trace, labels=None, cuts=(), scale=24, margin=1):
+
+def render_svg(path_trace, labels=None):
     """SVG text for a traced path.
 
     labels: optional sequence of per-edge strings (None entries skipped),
-    aligned with the trace's edges.  cuts: vertex indices to ring, e.g.
-    factorization cut positions.
+    aligned with the trace's edges.
     """
     vertices = path_trace.vertices
     xs = [v[0] for v in vertices]
@@ -20,13 +22,13 @@ def render_svg(path_trace, labels=None, cuts=(), scale=24, margin=1):
     miny, maxy = min(ys), max(ys)
 
     def px(x):
-        return (x - minx + margin) * scale
+        return (x - minx + MARGIN) * SCALE
 
     def py(y):
-        return (maxy - y + margin) * scale
+        return (maxy - y + MARGIN) * SCALE
 
-    width = (maxx - minx + 2 * margin) * scale
-    height = (maxy - miny + 2 * margin) * scale
+    width = (maxx - minx + 2 * MARGIN) * SCALE
+    height = (maxy - miny + 2 * MARGIN) * SCALE
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -42,12 +44,6 @@ def render_svg(path_trace, labels=None, cuts=(), scale=24, margin=1):
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#202020" stroke-width="2"/>'
         )
-    for c in cuts:
-        x, y = vertices[c % (len(vertices) - 1 or 1)]
-        parts.append(
-            f'<circle cx="{px(x)}" cy="{py(y)}" r="6" fill="none" '
-            'stroke="#2060c0" stroke-width="2"/>'
-        )
     sx, sy = vertices[0]
     parts.append(f'<circle cx="{px(sx)}" cy="{py(sy)}" r="4" fill="#c03030"/>')
     if labels:
@@ -59,7 +55,7 @@ def render_svg(path_trace, labels=None, cuts=(), scale=24, margin=1):
             lx = (px(ax) + px(bx)) / 2 + 4
             ly = (py(ay) + py(by)) / 2 - 4
             parts.append(
-                f'<text x="{lx}" y="{ly}" font-size="{scale // 2}" '
+                f'<text x="{lx}" y="{ly}" font-size="{SCALE // 2}" '
                 f'font-family="monospace">{escape(str(text))}</text>'
             )
     parts.append("</svg>")

@@ -1,8 +1,13 @@
 """Brute-force oracles the tests check the fast implementations against.
 
 Everything here is written the slow, obvious way on purpose; none of it
-imports the package under test.
+imports the package under test (tests/test_oracle_independence.py checks
+this).  The hash-set walk, the exhaustive tiling search, the brute-force
+Lyndon factorization and the flood-fill-and-hull convexity check each
+stand on their own.
 """
+
+from operator import floordiv
 
 STEP = {"0": (1, 0), "1": (0, 1), "2": (-1, 0), "3": (0, -1)}
 
@@ -222,3 +227,147 @@ def bn_factorizations_oracle(word):
                 if cuts not in found:
                     found[cuts] = _blocks_from_cuts_oracle(w, cuts)
     return [found[c] for c in sorted(found)]
+
+
+def cross(o, a, b):
+    """Cross product of o->a with o->b; positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
+
+
+def convex_hull(points):
+    """Monotone-chain hull as (upper, lower) vertex chains.
+
+    The upper chain runs from the lexicographically least point to the
+    greatest, the lower chain back again; collinear interior points are
+    dropped.  Integer arithmetic throughout.
+    """
+    pts = sorted(set(points))
+    if not pts:
+        raise ValueError("empty point set")
+    if len(pts) == 1:
+        return [pts[0]], [pts[0]]
+    upper = []
+    for p in pts:
+        while len(upper) > 1 and cross(upper[-2], upper[-1], p) >= 0:
+            upper.pop()
+        upper.append(p)
+    lower = []
+    for p in reversed(pts):
+        while len(lower) > 1 and cross(lower[-2], lower[-1], p) >= 0:
+            lower.pop()
+        lower.append(p)
+    return upper, lower
+
+
+def _ceil_div(num, den):
+    return -((-num) // den)
+
+
+def _envelope(chain, rounding, better):
+    """Per-column integer bound under/over a hull chain."""
+    bounds = {}
+    for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
+        if xa == xb:
+            v = better(ya, yb)
+            bounds[xa] = better(bounds.get(xa, v), v)
+            continue
+        if xa > xb:
+            (xa, ya), (xb, yb) = (xb, yb), (xa, ya)
+        for x in range(xa, xb + 1):
+            v = rounding(ya * (xb - xa) + (yb - ya) * (x - xa), xb - xa)
+            bounds[x] = better(bounds.get(x, v), v)
+    if not bounds:  # single-vertex chain
+        x, y = chain[0]
+        bounds[x] = y
+    return bounds
+
+
+def _vertices(word):
+    x = y = 0
+    out = [(0, 0)]
+    for ch in word:
+        dx, dy = STEP[ch]
+        x += dx
+        y += dy
+        out.append((x, y))
+    return out
+
+
+def nw_convex_oracle(word):
+    """Hull-gap oracle for is_nw_convex: no lattice point may lie strictly
+    above the path yet on or below its upper convex hull."""
+    if not word:
+        return True
+    bad = word.strip("01")
+    if bad:
+        raise ValueError(f"letter outside {{0,1}}: {bad[0]!r}")
+    vertices = _vertices(word)
+    height = {}
+    for x, y in vertices:
+        if height.get(x, -1) < y:
+            height[x] = y
+    upper, _ = convex_hull(vertices)
+    hull_top = _envelope(upper, floordiv, max)
+    return all(hull_top[x] <= height[x] for x in height)
+
+
+def fill_cells(word):
+    """Cells enclosed by a boundary word started at (0,0), by flood fill.
+
+    Floods the cells outside the path from a corner of its bounding box
+    grown by one cell, never crossing one of the word's unit edges; every
+    other cell of the box is inside.  Orientation plays no part.  Raises
+    ValueError unless the word is closed, simple and longer than 2.
+    """
+    if word.strip("0123"):
+        raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
+    closed = word.count("0") == word.count("2") and word.count("1") == word.count("3")
+    if not closed or len(word) <= 2 or first_intersection_oracle(word) != (len(word), (0, 0)):
+        raise ValueError("not a boundary word")
+    vertices = _vertices(word)
+    walls = {frozenset(edge) for edge in zip(vertices, vertices[1:])}
+    xs = [x for x, _ in vertices]
+    ys = [y for _, y in vertices]
+    x0, x1, y0, y1 = min(xs) - 1, max(xs), min(ys) - 1, max(ys)
+    outside = {(x0, y0)}
+    stack = [(x0, y0)]
+    while stack:
+        cx, cy = stack.pop()
+        # the unit edge shared with each neighbor cell, named by its ends
+        for nx, ny, a, b in (
+            (cx + 1, cy, (cx + 1, cy), (cx + 1, cy + 1)),
+            (cx - 1, cy, (cx, cy), (cx, cy + 1)),
+            (cx, cy + 1, (cx, cy + 1), (cx + 1, cy + 1)),
+            (cx, cy - 1, (cx, cy), (cx + 1, cy)),
+        ):
+            if not (x0 <= nx <= x1 and y0 <= ny <= y1) or (nx, ny) in outside:
+                continue
+            if frozenset((a, b)) in walls:
+                continue
+            outside.add((nx, ny))
+            stack.append((nx, ny))
+    return {
+        (cx, cy)
+        for cx in range(x0, x1 + 1)
+        for cy in range(y0, y1 + 1)
+        if (cx, cy) not in outside
+    }
+
+
+def convexity_oracle(word):
+    """Fill-and-hull convexity check, for cross-validation.
+
+    Fills the boundary, takes the hull of the cell set, and requires every
+    lattice point inside the hull to name a cell.  Cell lower-left corners
+    stand in for cell centers (a uniform half-unit translation).  Raises
+    ValueError for non-boundary input.
+    """
+    cells = fill_cells(word)
+    upper, lower = convex_hull(cells)
+    top = _envelope(upper, floordiv, max)
+    bottom = _envelope(lower, _ceil_div, min)
+    for x, hi in top.items():
+        for y in range(bottom[x], hi + 1):
+            if (x, y) not in cells:
+                return False
+    return True

@@ -14,7 +14,6 @@ from gridwords import (
     bn_factorizations,
     christoffel,
     classify,
-    convexity_oracle,
     delta,
     detect_first_intersection,
     father_point,
@@ -23,7 +22,6 @@ from gridwords import (
     is_digitally_convex,
     is_nw_convex,
     lyndon_factorize,
-    nw_convex_oracle,
     orient_ccw,
     reconstruct,
     salient_reentrant,
@@ -31,7 +29,12 @@ from gridwords import (
     square_count,
     turning_number,
 )
-from helpers import boundary_words, first_intersection_oracle
+from helpers import (
+    boundary_words,
+    convexity_oracle,
+    first_intersection_oracle,
+    nw_convex_oracle,
+)
 
 UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 

@@ -58,6 +58,17 @@ class TestErrors:
         assert excinfo.value.line == 3
         assert excinfo.value.column == 7
 
+    def test_location_after_unicode_spaces(self):
+        # tabs, a no-break space and U+2000 are skipped inside a word but
+        # still count as columns
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("w:\t01\u00a02\u20003x3\n")
+        assert excinfo.value.line == 1
+        assert excinfo.value.column == 10
+        assert "invalid character 'x'" in str(excinfo.value)
+        cf = parse_chain_file("w:\t01\u00a02\u20003 3\n")
+        assert cf.records[0].word == "01233"
+
     def test_duplicate_label(self):
         with pytest.raises(ChainFileError, match="duplicate"):
             parse_chain_file("a: 0123\na: 0011\n")

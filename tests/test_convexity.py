@@ -4,19 +4,21 @@ import pytest
 
 from gridwords import (
     boundary_word,
-    convex_hull,
-    convexity_oracle,
-    cross,
     enclosed_cells,
     hat,
     is_closed,
     is_digitally_convex,
     is_nw_convex,
     is_simple,
-    nw_convex_oracle,
     split_extremal,
 )
-from helpers import boundary_words
+from helpers import (
+    boundary_words,
+    convex_hull,
+    convexity_oracle,
+    cross,
+    nw_convex_oracle,
+)
 
 
 class TestHull:

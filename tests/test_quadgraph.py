@@ -10,7 +10,64 @@ from gridwords import (
     normalize,
     sibling_condition,
 )
+from gridwords.quadgraph import _CHILD, _FATHER, _LINK, _VISITED, _X, _Y
 from helpers import STEP, first_intersection_oracle
+
+
+# Read-only views of a QuadGraph's tree, through the node layout.
+
+
+def _walk(g):
+    stack = [g._root]
+    while stack:
+        node = stack.pop()
+        yield node
+        for i in range(_CHILD, _CHILD + 4):
+            child = node[i]
+            if child is not None:
+                stack.append(child)
+
+
+def node_count(g):
+    return sum(1 for _ in _walk(g))
+
+
+def points(g):
+    return frozenset((n[_X], n[_Y]) for n in _walk(g))
+
+
+def visited_points(g):
+    return frozenset((n[_X], n[_Y]) for n in _walk(g) if n[_VISITED])
+
+
+def _find(g, point):
+    x, y = point
+    if x < 0 or y < 0:
+        return None
+    node = g._root
+    for k in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
+        node = node[_CHILD + ((x >> k) & 1) + 2 * ((y >> k) & 1)]
+        if node is None:
+            return None
+    return node
+
+
+def father(g, point):
+    """Father point of an existing node; None for the root or absent points."""
+    node = _find(g, point)
+    if node is None or node is g._root:
+        return None
+    f = node[_FATHER]
+    return f[_X], f[_Y]
+
+
+def link(g, point, eps):
+    """Memoized eps-neighbor of an existing node, or None."""
+    node = _find(g, point)
+    if node is None:
+        return None
+    n = node[_LINK + eps]
+    return None if n is None else (n[_X], n[_Y])
 
 
 class TestFatherPoint:
@@ -60,18 +117,18 @@ class TestSiblingCondition:
 class TestGraphConstruction:
     def test_initial_graph(self):
         g = QuadGraph()
-        assert len(g) == 3
+        assert node_count(g) == 3
         assert g.current == (0, 0)
-        assert g.visited_points() == {(0, 0)}
-        assert g.points() == {(0, 0), (1, 0), (0, 1)}
-        assert g.link((0, 0), 0) == (1, 0)
-        assert g.link((0, 0), 1) == (0, 1)
-        assert g.link((1, 0), 2) == (0, 0)
+        assert visited_points(g) == {(0, 0)}
+        assert points(g) == {(0, 0), (1, 0), (0, 1)}
+        assert link(g, (0, 0), 0) == (1, 0)
+        assert link(g, (0, 0), 1) == (0, 1)
+        assert link(g, (1, 0), 2) == (0, 0)
 
     def test_translated_start(self):
         g = QuadGraph((5, 3))
         assert g.current == (5, 3)
-        assert g.visited_points() == {(5, 3)}
+        assert visited_points(g) == {(5, 3)}
         assert g.step(0) is False
         assert g.current == (6, 3)
 
@@ -83,25 +140,25 @@ class TestGraphConstruction:
         g = QuadGraph()
         revisits = [g.step(int(c)) for c in "0011"]
         assert revisits == [False, False, False, False]
-        assert len(g) == 7
-        assert g.visited_points() == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
-        assert g.points() == {
+        assert node_count(g) == 7
+        assert visited_points(g) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
+        assert points(g) == {
             (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2),
         }
         # neighbor links created on the way, both directions
-        assert g.link((1, 0), 1) == (1, 1)
-        assert g.link((1, 1), 3) == (1, 0)
-        assert g.link((2, 1), 1) == (2, 2)
-        assert g.link((2, 2), 3) == (2, 1)
+        assert link(g, (1, 0), 1) == (1, 1)
+        assert link(g, (1, 1), 3) == (1, 0)
+        assert link(g, (2, 1), 1) == (2, 2)
+        assert link(g, (2, 2), 3) == (2, 1)
 
     def test_fathers(self):
         g = QuadGraph()
         for c in "0011":
             g.step(int(c))
-        assert g.father((0, 0)) is None  # the root is its own father
-        assert g.father((2, 2)) == (1, 1)
-        assert g.father((1, 1)) == (0, 0)
-        assert g.father((2, 1)) == (1, 0)
+        assert father(g, (0, 0)) is None  # the root is its own father
+        assert father(g, (2, 2)) == (1, 1)
+        assert father(g, (1, 1)) == (0, 0)
+        assert father(g, (2, 1)) == (1, 0)
 
     def test_step_reports_revisit(self):
         g = QuadGraph()
@@ -134,12 +191,12 @@ class TestGraphConstruction:
             g.step(e)
             dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[e]
             x, y = x + dx, y + dy
-        for p in list(g.points())[:200]:
+        for p in list(points(g))[:200]:
             for e, (dx, dy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
-                q = g.link(p, e)
+                q = link(g, p, e)
                 if q is not None:
                     assert q == (p[0] + dx, p[1] + dy)
-                    assert g.link(q, (e + 2) % 4) == p
+                    assert link(g, q, (e + 2) % 4) == p
 
     def test_determinism(self):
         word = "001122010101332211" * 3
@@ -148,7 +205,7 @@ class TestGraphConstruction:
             g = QuadGraph((6, 6))
             for c in word:
                 g.step(int(c))
-            sets.append((len(g), g.points(), g.visited_points()))
+            sets.append((node_count(g), points(g), visited_points(g)))
         assert sets[0] == sets[1]
 
 
@@ -208,4 +265,4 @@ class TestDetect:
             start = normalize(w)
             g = QuadGraph(start)
             revisits = sum(g.step(int(c)) for c in w)
-            assert len(g.visited_points()) == len(w) + 1 - revisits
+            assert len(visited_points(g)) == len(w) + 1 - revisits

@@ -1,6 +1,7 @@
 import xml.etree.ElementTree as ET
 
 from gridwords import delta, render_svg, trace
+from gridwords.render import MARGIN, SCALE
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -45,8 +46,7 @@ class TestRenderSvg:
         assert "".join(texts(root)) == "1311001330"
 
     def test_cut_markers(self):
-        root = parsed(render_svg(trace("0123"), cuts=(0, 1, 2, 3)))
-        assert len(circles(root, "#2060c0")) == 4
+        root = parsed(render_svg(trace("0123")))
         assert len(circles(root, "#c03030")) == 1
         # grid dots cover the bounding box
         dots = root.find(f"{SVG}g[@fill='#bbbbbb']")
@@ -58,7 +58,7 @@ class TestRenderSvg:
 
     def test_polyline_matches_trace(self):
         t = trace("0011")
-        root = parsed(render_svg(t, scale=10, margin=0))
+        root = parsed(render_svg(t))
         line = next(iter(root.iter(f"{SVG}polyline")))
         pts = [
             tuple(int(v) for v in pair.split(","))
@@ -66,5 +66,5 @@ class TestRenderSvg:
         ]
         assert len(pts) == len(t.vertices)
         # y axis is flipped so larger path y means smaller pixel y
-        assert pts[0] == (0, 20)
-        assert pts[-1] == (20, 0)
+        assert pts[0] == (MARGIN * SCALE, (2 + MARGIN) * SCALE)
+        assert pts[-1] == ((2 + MARGIN) * SCALE, MARGIN * SCALE)
