@@ -63,7 +63,6 @@ from .tiling import (
     TileClass,
     bn_factorizations,
     classify,
-    reconstruct,
     square_count,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "normalize",
     "orient_ccw",
     "parse_chain_file",
-    "reconstruct",
     "reduce",
     "reflect",
     "render_svg",

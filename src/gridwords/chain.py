@@ -92,11 +92,17 @@ def is_closed(word):
     return word.count("0") == word.count("2") and word.count("1") == word.count("3")
 
 
+def simple_from_revisit(word, hit):
+    """The simplicity rule, given hit = detect_first_intersection(word): no
+    revisit, or only the closing return of a word longer than 2 (02 retraces
+    its one edge)."""
+    return hit is None or (hit == (len(word), (0, 0)) and len(word) > 2)
+
+
 def is_simple(word):
-    """True iff no grid point is visited twice, except a closed word's final
-    return to its start: the first revisit, if any, is (len(word), (0, 0))."""
-    hit = detect_first_intersection(word)
-    return hit is None or hit == (len(word), (0, 0))
+    """True iff no grid point is visited twice, except the closing return
+    of a closed word longer than 2."""
+    return simple_from_revisit(word, detect_first_intersection(word))
 
 
 @dataclass(frozen=True)
@@ -154,20 +160,20 @@ def turning_number(word, circular=False):
 def path_facts(word):
     """(closed, simple, turning, corners) of a path, from one walk.
 
-    corners is (S, R) for a boundary word, else None.  A word is closed and
-    simple iff its first revisit is (len(word), (0, 0)); longer than 2, it
-    has no cancelling pair, even across the seam, so T and (S, R) need no
-    `reduce`: one count of its cyclic differences gives both.
+    corners is (S, R) for a boundary word, else None.  A simple word with
+    a revisit is closed and longer than 2 (`simple_from_revisit`), so it
+    has no cancelling pair, even across the seam: T and (S, R) need no
+    `reduce`, and one count of its cyclic differences gives both.
     """
     hit = detect_first_intersection(word)
-    loop = hit == (len(word), (0, 0))  # closed and simple
-    if loop and len(word) > 2:
+    simple = simple_from_revisit(word, hit)
+    if simple and hit is not None:  # closed, simple and longer than 2
         d = delta_circular(word)
         left, right = d.count("1"), d.count("3")
         corners = max(left, right), min(left, right)
         return True, True, TurningNumber(left - right), corners
     closed = is_closed(word)
-    return closed, loop or hit is None, turning_number(word, circular=closed), None
+    return closed, simple, turning_number(word, circular=closed), None
 
 
 def orient_ccw(word):

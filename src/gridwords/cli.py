@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .chain import delta, path_facts, trace
+from .chain import delta, path_facts, simple_from_revisit, trace
 from .chainfile import ChainRecord, parse_chain_file
 from .convexity import decide_convexity
 from .generate import gen_random_polyomino
@@ -97,7 +97,7 @@ def cmd_intersect(args):
         report["intersects"] = hit is not None
         if hit is not None:
             report["index"], report["point"] = hit
-        report["simple"] = hit is None or hit == (len(w), (0, 0))
+        report["simple"] = simple_from_revisit(w, hit)
         reports.append(report)
     _emit(reports, args)
     return 1 if args.check and any(not r["simple"] for r in reports) else 0

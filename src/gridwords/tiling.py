@@ -8,15 +8,17 @@ exactly when their cut sets coincide.
 
 A block is valid when its antipodal arc is hat of the block.  That is a
 palindrome test on a word interleaving the two arcs, so one Manacher pass
-yields the radius that decides every block at once, and the search only
-visits valid blocks: O(n + V + F) Python steps for a word of length n
-with V valid blocks and F factorizations found.
+gives the longest valid block at every centre.  Every block of a
+factorization is admissible (Winslow): one more letter on each side
+makes it invalid.  So the longest valid block at each centre is the only
+non-empty block a factorization can use there, and the search looks at
+fewer than 2n candidate blocks for a word of length n.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import canonical_rotation, hat, is_closed, is_simple, rotate
+from .chain import canonical_rotation, is_closed, is_simple, rotate
 
 
 class TileClass(Enum):
@@ -78,12 +80,16 @@ def bn_factorizations(word):
     antipodal arc d[p+h:q+h] equals hat(d[p:q]).  Interleaving the arcs
     as z[2i] = d[i+h], z[2i+1] = d[i] + 2 mod 4 makes that "z[2p:2q] is a
     palindrome", so with R the even palindrome radii of z, [p, q) is valid
-    iff q - p <= R[p + q].  For each start s and valid X = [s, q1), the
-    ends q2 of Y are the valid ends after q1 that are also valid starts
-    of Z = [q2, s + h): one set intersection, skipped when the furthest
-    end after q1 falls short of the nearest start before s + h.  Python
-    work is O(n + V + F) for V valid blocks and F factorizations; a k x k
-    square has V ~ 2k^2, every one of them inside a run of equal letters.
+    iff q - p <= R[p + q].  A block of a factorization is admissible, so
+    it is the longest valid block at its centre c = p + q: its length is
+    R[c] lowered to the parity of c.  With at most one empty block, every
+    non-empty block is shorter than h.  The candidates are therefore one
+    block of length 0 < r < h per centre, fewer than 2n, and the n + 1
+    empty blocks.  For each start s and candidate X = [s, q1), the ends q2
+    of Y are the candidate ends after q1 that are also candidate starts of
+    Z = [q2, s + h): one set intersection, costing the smaller set.  That
+    is fewer than 3n intersections, O(n D) Python steps for D the most
+    candidates sharing an endpoint, plus O(n) to slice each factorization.
     """
     if not (is_closed(word) and is_simple(word)):
         return []
@@ -94,25 +100,19 @@ def bn_factorizations(word):
     z[0::2] = w[h:] + w[:h]
     z[1::2] = rotate(w, 2)
     radii = _even_radii(z)
-    ends = [{p} for p in range(n + 1)]  # ends[p]: every q with [p, q) valid
-    starts = [{q} for q in range(n + 1)]  # starts[q]: every p with [p, q) valid
+    ends = [{p} for p in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
+    starts = [{q} for q in range(n + 1)]  # starts[q]: every p with [p, q) a candidate
     for c in range(1, 2 * n):
-        # the blocks centred at c are [p, c - p) for c - 2p up to the radius
-        for p in range((c - min(radii[c], h) + 1) // 2, (c + 1) // 2):
-            ends[p].add(c - p)
-            starts[c - p].add(p)
-    far = list(map(max, ends))
-    near = list(map(min, starts))
+        r = radii[c] - ((radii[c] - c) & 1)  # the longest block centred at c
+        if 0 < r < h:
+            ends[(c - r) // 2].add((c + r) // 2)
+            starts[(c + r) // 2].add((c - r) // 2)
 
     found = set()
     for s in range(h):
         t = s + h
         for q1 in ends[s]:
-            if far[q1] < near[t]:
-                continue  # no valid Y reaches a valid Z
             for q2 in ends[q1] & starts[t]:
-                if (q1 == s) + (q2 == q1) + (q2 == t) >= 2:
-                    continue
                 found.add(tuple(sorted({s, q1, q2, t, (q1 + h) % n, (q2 + h) % n})))
     return [_blocks_from_cuts(w, cuts) for cuts in sorted(found)]
 
@@ -126,11 +126,3 @@ def square_count(word):
     """Number of distinct square factorizations (cut sets with 4 cuts)."""
     return sum(f.is_square for f in bn_factorizations(word))
 
-
-def reconstruct(fact, word):
-    """Rebuild the boundary from a factorization of word; for validation."""
-    x, y, z = fact.blocks
-    rebuilt = x + y + z + hat(x) + hat(y) + hat(z)
-    w = canonical_rotation(word)
-    m = fact.cuts[0]
-    return rebuilt == w[m:] + w[:m]

@@ -165,6 +165,21 @@ def boundary_words(perimeter):
     yield from rec(1, 0, 0)
 
 
+def hat(word):
+    """The path traversed backwards: reversed, each letter turned by 2."""
+    return "".join("2301"[int(ch)] for ch in reversed(word))
+
+
+def reconstruct(fact, word):
+    """True iff fact's blocks X Y Z hat(X) hat(Y) hat(Z) spell the least
+    rotation of word read from the factorization's first cut."""
+    x, y, z = fact.blocks
+    k = min_rotation_brute(word)
+    w = word[k:] + word[:k]
+    m = fact.cuts[0]
+    return x + y + z + hat(x) + hat(y) + hat(z) == w[m:] + w[:m]
+
+
 def _blocks_from_cuts_oracle(word, cuts):
     h = len(word) // 2
     m = cuts[0]

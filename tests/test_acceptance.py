@@ -23,7 +23,6 @@ from gridwords import (
     is_nw_convex,
     lyndon_factorize,
     orient_ccw,
-    reconstruct,
     salient_reentrant,
     sibling_condition,
     square_count,
@@ -34,6 +33,7 @@ from helpers import (
     convexity_oracle,
     first_intersection_oracle,
     nw_convex_oracle,
+    reconstruct,
 )
 
 UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))

@@ -144,7 +144,7 @@ class TestPathPredicates:
         assert is_simple("")
         assert is_simple("0123")
         assert is_simple("0011")
-        assert is_simple("02")  # closes at the origin, no interior revisit
+        assert not is_simple("02")  # retraces its one edge
         assert not is_simple("002")
         assert not is_simple("0123012")
 

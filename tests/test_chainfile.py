@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwords import (
+    ChainFile,
     ChainFileError,
     ChainRecord,
     parse_chain_file,
@@ -94,3 +97,29 @@ class TestSerialize:
     def test_canonical_form(self):
         cf = parse_chain_file("sq:   0 1 2 3   @  2  3\n")
         assert serialize_chain_file(cf) == "sq: 0123 @ 2 3\n"
+
+
+LABELS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,8}", fullmatch=True)
+
+
+@st.composite
+def chain_files(draw):
+    """Chain files of records that are not entirely empty, labels unique."""
+    shapes = draw(st.lists(st.tuples(
+        st.text("0123", max_size=30),
+        st.booleans(),
+        st.none() | st.tuples(st.integers(), st.integers()),
+    ), max_size=8))
+    labels = draw(st.lists(LABELS, min_size=len(shapes), max_size=len(shapes), unique=True))
+    records = [
+        ChainRecord(word, label if named else None, start)
+        for (word, named, start), label in zip(shapes, labels)
+        if word or named or start is not None
+    ]
+    return ChainFile(tuple(records))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(chain_files())
+def test_parse_inverts_serialize(chain_file):
+    assert parse_chain_file(serialize_chain_file(chain_file)) == chain_file

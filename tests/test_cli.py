@@ -36,6 +36,8 @@ class TestAnalyze:
         assert run(capsys, "analyze", "--check", "0123")[0] == 0
         assert run(capsys, "analyze", "--check", "0011")[0] == 1
         assert run(capsys, "analyze", "--check", "002002")[0] == 1
+        for word in ("02", "13", "20", "31"):  # each retraces its one edge
+            assert run(capsys, "analyze", "--check", word)[0] == 1
 
     def test_machine_format(self, capsys):
         rc, out, _ = run(capsys, "analyze", "--format", "machine", "0123", "1")
@@ -110,6 +112,8 @@ class TestIntersect:
         assert run(capsys, "intersect", "--check", "0011")[0] == 0
         assert run(capsys, "intersect", "--check", "0123")[0] == 0
         assert run(capsys, "intersect", "--check", "002")[0] == 1
+        for word in ("02", "13", "20", "31"):  # each retraces its one edge
+            assert run(capsys, "intersect", "--check", word)[0] == 1
 
 
 class TestConvex:

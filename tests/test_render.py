@@ -45,7 +45,7 @@ class TestRenderSvg:
         root = parsed(render_svg(trace(word), labels=labels))
         assert "".join(texts(root)) == "1311001330"
 
-    def test_cut_markers(self):
+    def test_start_marker_and_grid_dots(self):
         root = parsed(render_svg(trace("0123")))
         assert len(circles(root, "#c03030")) == 1
         # grid dots cover the bounding box

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import time
 
 from gridwords import (
     TileClass,
@@ -8,12 +10,11 @@ from gridwords import (
     hat,
     is_closed,
     is_simple,
-    reconstruct,
     square_count,
     trace,
     turning_number,
 )
-from helpers import boundary_words
+from helpers import boundary_words, reconstruct
 
 PLUS = "010121232303"
 
@@ -165,3 +166,26 @@ class TestSquareConstruction:
                 assert square_count(w) >= 1
                 for f in bn_factorizations(w):
                     assert reconstruct(f, w)
+
+
+def _timed_search(word, runs=3):
+    best = None
+    for _ in range(runs):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            bn_factorizations(word)
+            dt = time.perf_counter() - t0
+        finally:
+            gc.enable()
+        best = dt if best is None else min(best, dt)
+    return best
+
+
+def test_search_scales_linearly_on_squares():
+    # a k x k square has about 2k^2 valid blocks and 2k - 1 factorizations;
+    # 4x the side costs 4x for linear work and 16x for quadratic
+    small, large = ("0" * k + "1" * k + "2" * k + "3" * k for k in (400, 1600))
+    t_small, t_large = _timed_search(small), _timed_search(large)
+    assert t_large <= 10 * t_small, (t_small, t_large)

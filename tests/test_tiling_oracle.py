@@ -42,8 +42,8 @@ def built_tiles(seed, count, hexagon):
 
 
 def test_every_word_up_to_length_8():
-    # includes "02", closed and simple by is_simple, which only the rule
-    # against two empty blocks keeps from factoring as X hat(X)
+    # includes "02", which retraces its one edge: not simple, so the search
+    # never runs, and the oracle's rule against two empty blocks agrees
     for n in range(0, 9, 2):
         for letters in itertools.product("0123", repeat=n):
             w = "".join(letters)

@@ -8,10 +8,9 @@ from gridwords import (
     classify,
     gen_random_polyomino,
     hat,
-    reconstruct,
     square_count,
 )
-from helpers import bn_factorizations_oracle
+from helpers import bn_factorizations_oracle, reconstruct
 
 LAWS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
