@@ -8,6 +8,7 @@ wraps a closed word with equality up to rotation of its letters.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lyndon import lyndon_factorize
 from .quadgraph import detect_first_intersection
 
 ALPHABET = "0123"
@@ -201,27 +202,18 @@ def salient_reentrant(word):
 
 
 def least_rotation(word):
-    """Index at which the lexicographically least rotation starts (Booth)."""
-    n = len(word)
-    if n == 0:
-        return 0
-    d = word + word
-    f = [-1] * len(d)
-    k = 0
-    for j in range(1, len(d)):
-        sj = d[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != d[k + i + 1]:
-            if sj < d[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != d[k + i + 1]:
-            if sj < d[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
+    """Index at which the lexicographically least rotation starts.
+
+    That is where the last group of Lyndon factors of word + word that
+    begins before len(word) begins (Duval's scan).
+    """
+    start = k = 0
+    for factor, count in lyndon_factorize(word + word):
+        if k >= len(word):
+            break
+        start = k
+        k += len(factor) * count
+    return start
 
 
 def canonical_rotation(word):

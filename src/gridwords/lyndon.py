@@ -6,18 +6,15 @@ the Christoffel side is specific to {0,1}.
 
 from math import gcd
 
-from .chain import canonical_rotation
-
 
 def is_lyndon(word):
-    """True iff word is primitive and least among its rotations."""
+    """True iff word is primitive and least among its rotations.
+
+    That is, iff its Lyndon factorization is the word itself, once.
+    """
     if not word:
         raise ValueError("empty word")
-    n = len(word)
-    # standard primitivity test: w occurs in ww only at the ends
-    if (word + word).find(word, 1) != n:
-        return False
-    return canonical_rotation(word) == word
+    return lyndon_factorize(word) == [(word, 1)]
 
 
 def lyndon_factorize(word):

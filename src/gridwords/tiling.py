@@ -44,12 +44,10 @@ class BNFactorization:
         return len(self.cuts) == 4
 
 
-def _blocks_from_cuts(word, cuts):
-    h = len(word) // 2
-    m = cuts[0]
-    r = word[m:] + word[:m]
-    starts = [c - m for c in cuts if c - m < h] + [h]
-    parts = [r[p:q] for p, q in zip(starts, starts[1:])]
+def _blocks_from_cuts(d, h, cuts):
+    """Blocks X, Y, Z between the cuts, sliced from d = w + w from the least cut."""
+    ends = [c for c in cuts if c < cuts[0] + h] + [cuts[0] + h]
+    parts = [d[p:q] for p, q in zip(ends, ends[1:])]
     while len(parts) < 3:
         parts.append("")
     return BNFactorization(cuts, tuple(parts))
@@ -96,8 +94,9 @@ def bn_factorizations(word):
     w = canonical_rotation(word)
     n = len(w)
     h = n // 2
+    d = w + w
     z = [""] * (2 * n)
-    z[0::2] = w[h:] + w[:h]
+    z[0::2] = d[h:h + n]
     z[1::2] = rotate(w, 2)
     radii = _even_radii(z)
     ends = [{p} for p in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
@@ -114,7 +113,7 @@ def bn_factorizations(word):
         for q1 in ends[s]:
             for q2 in ends[q1] & starts[t]:
                 found.add(tuple(sorted({s, q1, q2, t, (q1 + h) % n, (q2 + h) % n})))
-    return [_blocks_from_cuts(w, cuts) for cuts in sorted(found)]
+    return [_blocks_from_cuts(d, h, cuts) for cuts in sorted(found)]
 
 
 def classify(word):

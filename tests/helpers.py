@@ -29,6 +29,20 @@ def first_intersection_oracle(word):
     return None
 
 
+def revisit_flags(word):
+    """Per letter, whether the hash-set walk lands on a point seen before."""
+    seen = {(0, 0)}
+    x = y = 0
+    flags = []
+    for ch in word:
+        dx, dy = STEP[ch]
+        x += dx
+        y += dy
+        flags.append((x, y) in seen)
+        seen.add((x, y))
+    return flags
+
+
 def min_rotation_brute(word):
     return min(range(len(word)), key=lambda k: word[k:] + word[:k])
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -210,6 +211,10 @@ class TestRotationOrder:
         for _ in range(300):
             w = random_word(rng, rng.randrange(1, 25))
             assert least_rotation(w) == min_rotation_brute(w)
+        for n in range(1, 9):
+            for letters in itertools.product("0123", repeat=n):
+                w = "".join(letters)
+                assert least_rotation(w) == min_rotation_brute(w)
 
     def test_canonical_rotation(self):
         assert canonical_rotation("2301") == "0123"

@@ -119,7 +119,7 @@ def chain_files(draw):
     return ChainFile(tuple(records))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(chain_files())
 def test_parse_inverts_serialize(chain_file):
     assert parse_chain_file(serialize_chain_file(chain_file)) == chain_file

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridwords import (
     QuadGraph,
@@ -10,22 +13,36 @@ from gridwords import (
     normalize,
     sibling_condition,
 )
-from gridwords.quadgraph import _CHILD, _FATHER, _LINK, _VISITED, _X, _Y
-from helpers import STEP, first_intersection_oracle
+from gridwords.quadgraph import _CHILD, _FATHER, _LINK, _SLOT, _VISITED
+from helpers import STEP, first_intersection_oracle, revisit_flags
 
 
-# Read-only views of a QuadGraph's tree, through the node layout.
+# Read-only views of a QuadGraph's tree, through the node layout.  Nodes
+# hold no coordinates: each point is spelled by the slots on its tree path.
 
 
 def _walk(g):
-    stack = [g._root]
+    """Every node with its point, read off the slots from the root down."""
+    stack = [(g._root, 0, 0)]
     while stack:
-        node = stack.pop()
-        yield node
-        for i in range(_CHILD, _CHILD + 4):
-            child = node[i]
-            if child is not None:
-                stack.append(child)
+        node, x, y = stack.pop()
+        yield node, (x, y)
+        for slot in range(4):
+            child = node[_CHILD + slot]
+            if child is not None and child is not node:  # the root is its own 0-child
+                stack.append((child, 2 * x + (slot & 1), 2 * y + (slot >> 1)))
+
+
+def _point(g, node):
+    """A node's point, read off the slots on the climb to the root."""
+    x = y = k = 0
+    while node is not g._root:
+        slot = node[_SLOT]
+        x |= (slot & 1) << k
+        y |= (slot >> 1) << k
+        k += 1
+        node = node[_FATHER]
+    return x, y
 
 
 def node_count(g):
@@ -33,11 +50,11 @@ def node_count(g):
 
 
 def points(g):
-    return frozenset((n[_X], n[_Y]) for n in _walk(g))
+    return frozenset(p for _, p in _walk(g))
 
 
 def visited_points(g):
-    return frozenset((n[_X], n[_Y]) for n in _walk(g) if n[_VISITED])
+    return frozenset(p for n, p in _walk(g) if n[_VISITED])
 
 
 def _find(g, point):
@@ -57,8 +74,7 @@ def father(g, point):
     node = _find(g, point)
     if node is None or node is g._root:
         return None
-    f = node[_FATHER]
-    return f[_X], f[_Y]
+    return _point(g, node[_FATHER])
 
 
 def link(g, point, eps):
@@ -67,7 +83,7 @@ def link(g, point, eps):
     if node is None:
         return None
     n = node[_LINK + eps]
-    return None if n is None else (n[_X], n[_Y])
+    return None if n is None else _point(g, n)
 
 
 class TestFatherPoint:
@@ -118,7 +134,6 @@ class TestGraphConstruction:
     def test_initial_graph(self):
         g = QuadGraph()
         assert node_count(g) == 3
-        assert g.current == (0, 0)
         assert visited_points(g) == {(0, 0)}
         assert points(g) == {(0, 0), (1, 0), (0, 1)}
         assert link(g, (0, 0), 0) == (1, 0)
@@ -127,10 +142,9 @@ class TestGraphConstruction:
 
     def test_translated_start(self):
         g = QuadGraph((5, 3))
-        assert g.current == (5, 3)
         assert visited_points(g) == {(5, 3)}
         assert g.step(0) is False
-        assert g.current == (6, 3)
+        assert visited_points(g) == {(5, 3), (6, 3)}
 
     def test_start_must_be_in_quadrant(self):
         with pytest.raises(ValueError):
@@ -266,3 +280,59 @@ class TestDetect:
             g = QuadGraph(start)
             revisits = sum(g.step(int(c)) for c in w)
             assert len(visited_points(g)) == len(w) + 1 - revisits
+
+
+# Walks on the quadrant's seam, where neighbor resolution climbs fathers up
+# to the top of the tree: each leg runs along x = 0, steps off it, wanders
+# parallel to it and comes back onto it.  Swapping the axes puts the seam on
+# y = 0.
+_SWAP_AXES = str.maketrans("0123", "1032")
+
+seam_legs = st.builds(
+    lambda legs, swap: [leg.translate(_SWAP_AXES) if swap else leg for leg in legs],
+    st.lists(
+        st.builds(
+            lambda along, run, away, wander: along * run + "0" * away + wander + "2" * away,
+            st.sampled_from("13"),
+            st.integers(0, 40),
+            st.integers(0, 3),
+            st.text("13", max_size=6),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+
+
+class TestSeam:
+    @given(seam_legs)
+    def test_seam_walks_agree_with_hash_set(self, legs):
+        word = "".join(legs)
+        assert detect_first_intersection(word) == first_intersection_oracle(word)
+        x, y = start = normalize(word)
+        g = QuadGraph(start)
+        flags = []
+        for leg in legs:
+            for c in leg:
+                flags.append(g.step(int(c)))
+                x, y = x + STEP[c][0], y + STEP[c][1]
+            for eps, coordinate in ((2, x), (3, y)):
+                if coordinate == 0:
+                    before = node_count(g), visited_points(g)
+                    with pytest.raises(ValueError, match="out of quadrant"):
+                        g.step(eps)
+                    assert (node_count(g), visited_points(g)) == before
+        assert flags == revisit_flags(word)
+
+
+def test_peak_memory_per_letter():
+    # a random {0,1} word never revisits, so every letter adds a point
+    word = "".join(random.Random(16).choices("01", k=1 << 16))
+    tracemalloc.start()
+    try:
+        detect_first_intersection(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * len(word)

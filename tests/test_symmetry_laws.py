@@ -6,13 +6,11 @@ same convexity verdict.  Its turning number is kept by rotations and
 conjugation and negated by reflections and hat, which reverse orientation.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gridwords import gen_random_polyomino, hat, is_digitally_convex, reflect, rotate
 from gridwords.chain import path_facts
-
-LAWS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
 polyominoes = st.builds(
     lambda cells, seed: str(gen_random_polyomino(cells, seed)),
@@ -30,7 +28,6 @@ def images(word, shift):
     yield hat(word), -1
 
 
-@LAWS
 @given(polyominoes, st.integers(0, 10**6))
 def test_path_facts_laws(word, shift):
     closed, simple, turning, corners = path_facts(word)
@@ -41,7 +38,6 @@ def test_path_facts_laws(word, shift):
         assert t.quarter_turns == sign * turning.quarter_turns
 
 
-@LAWS
 @given(polyominoes, st.integers(0, 10**6))
 def test_convexity_verdict_laws(word, shift):
     convex = is_digitally_convex(word)

@@ -12,8 +12,6 @@ from gridwords import (
 )
 from helpers import bn_factorizations_oracle, reconstruct
 
-LAWS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
-
 polyominoes = st.builds(
     lambda cells, seed: str(gen_random_polyomino(cells, seed)),
     st.integers(1, 20),  # about 40% of these tile the plane
@@ -21,7 +19,6 @@ polyominoes = st.builds(
 )
 
 
-@LAWS
 @given(polyominoes)
 def test_every_factorization_reconstructs_its_word(word):
     for w in (word, hat(word)):
@@ -29,7 +26,6 @@ def test_every_factorization_reconstructs_its_word(word):
             assert reconstruct(f, w)
 
 
-@LAWS
 @given(polyominoes)
 def test_cuts_are_antipodal(word):
     n = len(word)
@@ -38,7 +34,6 @@ def test_cuts_are_antipodal(word):
         assert list(f.cuts) == sorted(set(f.cuts))
 
 
-@LAWS
 @given(polyominoes, st.integers(0, 10**6))
 def test_class_and_square_count_survive_conjugation_and_hat(word, shift):
     k = shift % len(word)
@@ -48,7 +43,7 @@ def test_class_and_square_count_survive_conjugation_and_hat(word, shift):
     assert (classify(hat(word)), square_count(hat(word))) == verdict
 
 
-@settings(LAWS, max_examples=50)
+@settings(max_examples=50)
 @given(polyominoes)
 def test_search_equals_oracle(word):
     for w in (word, hat(word)):
