@@ -9,8 +9,6 @@ and ships a small CLI plus an SVG renderer.
 from .chain import (
     ALPHABET,
     STEPS,
-    CircularWord,
-    PathTrace,
     TurningNumber,
     canonical_rotation,
     delta,
@@ -28,7 +26,6 @@ from .chain import (
     turning_number,
 )
 from .chainfile import (
-    ChainFile,
     ChainFileError,
     ChainRecord,
     parse_chain_file,
@@ -72,12 +69,9 @@ __all__ = [
     "ALPHABET",
     "STEPS",
     "BNFactorization",
-    "ChainFile",
     "ChainFileError",
     "ChainRecord",
-    "CircularWord",
     "ExtremalSplit",
-    "PathTrace",
     "QuadGraph",
     "TileClass",
     "TurningNumber",

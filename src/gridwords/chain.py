@@ -1,8 +1,8 @@
 """Chain-code words over the alphabet {0,1,2,3} = right, up, left, down.
 
 Letters form the additive group of integers mod 4.  Words are plain
-strings; functions that treat a word cyclically say so.  `CircularWord`
-wraps a closed word with equality up to rotation of its letters.
+strings; functions that treat a word cyclically say so, and a closed
+word stands for its conjugacy class through `canonical_rotation`.
 """
 
 from dataclasses import dataclass
@@ -106,18 +106,9 @@ def is_simple(word):
     return simple_from_revisit(word, detect_first_intersection(word))
 
 
-@dataclass(frozen=True)
-class PathTrace:
-    start: tuple
-    vertices: tuple  # length |word| + 1, vertices[0] == start
-
-    @property
-    def end(self):
-        return self.vertices[-1]
-
-
 def trace(word, start=(0, 0)):
-    """Geometric realization: the vertex sequence of the path from start."""
+    """Geometric realization: the tuple of the path's len(word) + 1
+    vertices, from start to the end point."""
     _validate(word)
     x, y = start
     vertices = [(x, y)]
@@ -127,7 +118,7 @@ def trace(word, start=(0, 0)):
         x += dx
         y += dy
         append((x, y))
-    return PathTrace((start[0], start[1]), tuple(vertices))
+    return tuple(vertices)
 
 
 @dataclass(frozen=True)
@@ -221,46 +212,3 @@ def canonical_rotation(word):
     k = least_rotation(word)
     return word[k:] + word[:k]
 
-
-class CircularWord:
-    """A closed chain-code word up to rotation of its letters.
-
-    Equality and hashing use the lexicographically least rotation, so two
-    conjugate representatives compare equal.
-    """
-
-    __slots__ = ("word", "_canonical")
-
-    def __init__(self, word):
-        if not is_closed(word):
-            raise ValueError("circular word must be closed")
-        self.word = word
-        self._canonical = None
-
-    @property
-    def canonical(self):
-        if self._canonical is None:
-            self._canonical = canonical_rotation(self.word)
-        return self._canonical
-
-    def conjugates(self):
-        """All rotations of the representative, in offset order."""
-        w = self.word
-        return (w[i:] + w[:i] for i in range(max(len(w), 1)))
-
-    def __eq__(self, other):
-        if isinstance(other, CircularWord):
-            return self.canonical == other.canonical
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.canonical)
-
-    def __len__(self):
-        return len(self.word)
-
-    def __str__(self):
-        return self.word
-
-    def __repr__(self):
-        return f"CircularWord({self.word!r})"

@@ -17,11 +17,6 @@ class ChainRecord:
     start: tuple = None
 
 
-@dataclass(frozen=True)
-class ChainFile:
-    records: tuple
-
-
 class ChainFileError(ValueError):
     def __init__(self, message, line, column=None):
         self.line = line
@@ -31,7 +26,7 @@ class ChainFileError(ValueError):
 
 
 def parse_chain_file(data):
-    """Parse chain-file text (bytes or str) into a ChainFile."""
+    """Parse chain-file text (bytes or str) into a tuple of ChainRecords."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     records = []
     labels = set()
@@ -70,13 +65,14 @@ def parse_chain_file(data):
             except ValueError:
                 raise ChainFileError("start point needs two integers", lineno) from None
         records.append(ChainRecord(word, name, start))
-    return ChainFile(tuple(records))
+    return tuple(records)
 
 
-def serialize_chain_file(chain_file):
-    """Inverse of parse_chain_file for records that are not entirely empty."""
+def serialize_chain_file(records):
+    """Chain-file text for an iterable of ChainRecords; the inverse of
+    parse_chain_file for records that are not entirely empty."""
     lines = []
-    for rec in chain_file.records:
+    for rec in records:
         parts = []
         if rec.name is not None:
             parts.append(f"{rec.name}:")

@@ -32,12 +32,12 @@ def _collect_records(inputs):
     records = []
     for item in inputs:
         if item == "-":
-            records.extend(parse_chain_file(sys.stdin.read()).records)
+            records.extend(parse_chain_file(sys.stdin.read()))
         elif not item.strip("0123"):
             records.append(ChainRecord(item))
         elif os.path.exists(item):
             with open(item, "rb") as fh:
-                records.extend(parse_chain_file(fh.read()).records)
+                records.extend(parse_chain_file(fh.read()))
         else:
             raise ValueError(f"not a chain word or readable file: {item!r}")
     return records
@@ -68,83 +68,68 @@ def _print_lines(reports):
         print(_kv_line(report))
 
 
-def _emit(reports, args, to_text=_print_lines):
+def _print_tiles(reports):
+    for k, r in enumerate(reports):
+        if k:
+            print()
+        head = {key: r[key] for key in r if key != "factorizations"}
+        head["factorizations"] = len(r["factorizations"])
+        print(_kv_line(head))
+        for f in r["factorizations"]:
+            print(f"cuts={_fmt(f['cuts'])} X={f['X']} Y={f['Y']} Z={f['Z']}")
+
+
+def _analyze(word):
+    closed, simple, turning, corners = path_facts(word)
+    report = {"closed": closed, "simple": simple, "T": str(turning)}
+    report.update(zip("SR", corners or ()))
+    return report, closed and simple
+
+
+def _intersect(word):
+    hit = detect_first_intersection(word)
+    report = {"intersects": hit is not None}
+    if hit is not None:
+        report["index"], report["point"] = hit
+    report["simple"] = simple = simple_from_revisit(word, hit)
+    return report, simple
+
+
+def _convex(word):
+    split, arc_factors, convex = decide_convexity(word)
+    report = {"convex": convex, "arcs": split.arcs}
+    for i, factors in enumerate(arc_factors):
+        report[f"factors{i + 1}"] = ",".join(f"({f})^{n}" for f, n in factors)
+    return report, convex
+
+
+def _tile(word):
+    facts = bn_factorizations(word)
+    tile_class = TileClass.of(facts)
+    report = {
+        "class": tile_class.value,
+        "squares": sum(f.is_square for f in facts),
+        "factorizations": [
+            {"cuts": list(f.cuts), "X": f.blocks[0], "Y": f.blocks[1], "Z": f.blocks[2]}
+            for f in facts
+        ],
+    }
+    return report, tile_class is not TileClass.NOT_EXACT
+
+
+def cmd_record(args):
+    """Report args.verdict on every record; under --check, exit 1 unless
+    every record passed."""
+    reports, passed = [], True
+    for rec in _collect_records(args.input):
+        report, ok = args.verdict(rec.word)
+        reports.append({**_named(rec), **report})
+        passed = passed and ok
     if args.format == "machine":
         print(json.dumps(reports))
     else:
-        to_text(reports)
-
-
-def cmd_analyze(args):
-    reports = []
-    for rec in _collect_records(args.input):
-        report = _named(rec)
-        closed, simple, turning, corners = path_facts(rec.word)
-        report.update(closed=closed, simple=simple, T=str(turning))
-        report.update(zip("SR", corners or ()))
-        reports.append(report)
-    _emit(reports, args)
-    failed = any(not (r["closed"] and r["simple"]) for r in reports)
-    return 1 if args.check and failed else 0
-
-
-def cmd_intersect(args):
-    reports = []
-    for rec in _collect_records(args.input):
-        w = rec.word
-        report = _named(rec)
-        hit = detect_first_intersection(w)
-        report["intersects"] = hit is not None
-        if hit is not None:
-            report["index"], report["point"] = hit
-        report["simple"] = simple_from_revisit(w, hit)
-        reports.append(report)
-    _emit(reports, args)
-    return 1 if args.check and any(not r["simple"] for r in reports) else 0
-
-
-def cmd_convex(args):
-    reports = []
-    for rec in _collect_records(args.input):
-        report = _named(rec)
-        split, arc_factors, convex = decide_convexity(rec.word)
-        report["convex"] = convex
-        report["arcs"] = split.arcs
-        for i, factors in enumerate(arc_factors):
-            report[f"factors{i + 1}"] = ",".join(f"({f})^{n}" for f, n in factors)
-        reports.append(report)
-    _emit(reports, args)
-    return 1 if args.check and any(not r["convex"] for r in reports) else 0
-
-
-def cmd_tile(args):
-    reports = []
-    for rec in _collect_records(args.input):
-        report = _named(rec)
-        facts = bn_factorizations(rec.word)
-        report["class"] = TileClass.of(facts).value
-        report["squares"] = sum(f.is_square for f in facts)
-        report["factorizations"] = [
-            {"cuts": list(f.cuts), "X": f.blocks[0], "Y": f.blocks[1], "Z": f.blocks[2]}
-            for f in facts
-        ]
-        reports.append(report)
-
-    def to_text(rs):
-        for k, r in enumerate(rs):
-            if k:
-                print()
-            head = {key: r[key] for key in r if key != "factorizations"}
-            head["factorizations"] = len(r["factorizations"])
-            print(_kv_line(head))
-            for f in r["factorizations"]:
-                print(
-                    f"cuts={_fmt(f['cuts'])} X={f['X']} Y={f['Y']} Z={f['Z']}"
-                )
-
-    _emit(reports, args, to_text)
-    failed = any(r["class"] == "not-exact" for r in reports)
-    return 1 if args.check and failed else 0
+        args.to_text(reports)
+    return 1 if args.check and not passed else 0
 
 
 def cmd_lyndon(args):
@@ -176,7 +161,7 @@ def cmd_render(args):
         raise ValueError("render expects exactly one word")
     rec = records[0]
     path = trace(rec.word, rec.start or (0, 0))
-    xs, ys = zip(*path.vertices)
+    xs, ys = zip(*path)
     width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
     if width * height > _MAX_LETTERS:
         raise ValueError(
@@ -207,9 +192,7 @@ def cmd_gen(args):
             f"--cells {args.cells} --count {args.count} may build {most} letters; "
             f"the limit is {_MAX_LETTERS}"
         )
-    words = [
-        str(gen_random_polyomino(args.cells, args.seed + k)) for k in range(args.count)
-    ]
+    words = [gen_random_polyomino(args.cells, args.seed + k) for k in range(args.count)]
     if args.format == "machine":
         print(json.dumps({"words": words}))
     else:
@@ -232,20 +215,21 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def record_command(name, func, help_text):
+    def record_command(name, help_text, verdict=None, to_text=_print_lines,
+                       func=cmd_record):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument(
             "input", nargs="+",
             help="chain word, chain file, or -; a file named only by 0123 "
             "letters needs a directory part, e.g. ./0123",
         )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, verdict=verdict, to_text=to_text)
         return p
 
-    record_command("analyze", cmd_analyze, "closedness, simplicity, turning, corners")
-    record_command("intersect", cmd_intersect, "first self-intersection of the path")
-    record_command("convex", cmd_convex, "digital convexity and arc factorizations")
-    record_command("tile", cmd_tile, "tiling class and boundary factorizations")
+    record_command("analyze", "closedness, simplicity, turning, corners", _analyze)
+    record_command("intersect", "first self-intersection of the path", _intersect)
+    record_command("convex", "digital convexity and arc factorizations", _convex)
+    record_command("tile", "tiling class and boundary factorizations", _tile, _print_tiles)
 
     p = sub.add_parser("lyndon", parents=[common], help="Lyndon factorization of a raw word")
     p.add_argument("word")
@@ -256,7 +240,7 @@ def _build_parser():
     p.add_argument("b", type=int, help="number of 1s")
     p.set_defaults(func=cmd_christoffel)
 
-    p = record_command("render", cmd_render, "SVG drawing of a path")
+    p = record_command("render", "SVG drawing of a path", func=cmd_render)
     p.add_argument("--svg", metavar="PATH", help="write the SVG here instead of stdout")
     p.add_argument("--labels", choices=("letters", "delta"), help="per-edge labels")
 

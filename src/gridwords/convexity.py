@@ -51,12 +51,10 @@ def split_extremal(word):
     the top; counterclockwise traversal meets them in that order.
     """
     ccw = orient_ccw(word)
-    verts = trace(ccw).vertices[:-1]
-    idx = range(len(verts))
-    iw = min(idx, key=lambda i: (verts[i][0], verts[i][1]))
-    i_s = min(idx, key=lambda i: (verts[i][1], -verts[i][0]))
-    ie = min(idx, key=lambda i: (-verts[i][0], -verts[i][1]))
-    i_n = min(idx, key=lambda i: (-verts[i][1], verts[i][0]))
+    verts = trace(ccw)[:-1]
+    turned = [(-y, x) for x, y in verts]
+    iw, ie = verts.index(min(verts)), verts.index(max(verts))
+    i_n, i_s = turned.index(min(turned)), turned.index(max(turned))
     n = len(ccw)
     rotated = ccw[iw:] + ccw[:iw]
     cs, ce, cn = (i_s - iw) % n, (ie - iw) % n, (i_n - iw) % n

@@ -7,7 +7,6 @@ curve by construction.
 
 import random
 
-from .chain import CircularWord
 from .polyomino import boundary_word
 
 # 8-neighborhood in cyclic order, for the single-arc test below.
@@ -69,5 +68,4 @@ def gen_random_polyomino(cells, seed=None):
         for m in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
             if m not in grown:
                 frontier.append(m)
-    word, _ = boundary_word(grown)
-    return CircularWord(word)
+    return boundary_word(grown)[0]

@@ -9,13 +9,12 @@ SCALE = 24  # pixels per grid unit
 MARGIN = 1  # grid units of blank border around the bounding box
 
 
-def render_svg(path_trace, labels=None):
-    """SVG text for a traced path.
+def render_svg(vertices, labels=None):
+    """SVG text for a path given by its vertices, as `trace` returns them.
 
     labels: optional sequence of per-edge strings (None entries skipped),
-    aligned with the trace's edges.
+    aligned with the path's edges.
     """
-    vertices = path_trace.vertices
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     minx, maxx = min(xs), max(xs)

@@ -5,15 +5,17 @@ from fractions import Fraction
 import pytest
 
 from gridwords import (
-    CircularWord,
+    ChainRecord,
     canonical_rotation,
     delta,
     delta_circular,
+    gen_random_polyomino,
     hat,
     is_closed,
     is_simple,
     least_rotation,
     orient_ccw,
+    parse_chain_file,
     reduce,
     reflect,
     rotate,
@@ -123,7 +125,7 @@ class TestReduce:
         rng = random.Random(6)
         for _ in range(200):
             w = random_word(rng, rng.randrange(30))
-            assert trace(w).end == trace(reduce(w)).end
+            assert trace(w)[-1] == trace(reduce(w))[-1]
 
     def test_circular_trims_seam(self):
         rng = random.Random(7)
@@ -150,12 +152,9 @@ class TestPathPredicates:
         assert not is_simple("0123012")
 
     def test_trace(self):
-        t = trace("0011")
-        assert t.start == (0, 0)
-        assert t.vertices == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
-        assert t.end == (2, 2)
-        assert trace("0123", start=(3, 4)).vertices[0] == (3, 4)
-        assert trace("").vertices == ((0, 0),)
+        assert trace("0011") == ((0, 0), (1, 0), (2, 0), (2, 1), (2, 2))
+        assert trace("0123", start=(3, 4))[0] == (3, 4)
+        assert trace("") == ((0, 0),)
 
 
 class TestTurningNumber:
@@ -226,35 +225,18 @@ class TestRotationOrder:
             assert c == min(w[k:] + w[:k] for k in range(len(w)))
 
 
-class TestCircularWord:
-    def test_equality_over_conjugates(self):
-        a = CircularWord("0123")
-        for k in range(4):
-            assert a == CircularWord("0123"[k:] + "0123"[:k])
-        assert a != CircularWord("001223")
-        assert len({CircularWord("001223"), CircularWord("122300")}) == 1
-
-    def test_requires_closed(self):
-        with pytest.raises(ValueError):
-            CircularWord("0011")
-
-    def test_conjugates(self):
-        assert set(CircularWord("0123").conjugates()) == {
-            "0123",
-            "1230",
-            "2301",
-            "3012",
-        }
-
-    def test_str_and_canonical(self):
-        w = CircularWord("1230")
-        assert str(w) == "1230"
-        assert w.canonical == "0123"
-
-
 class TestArea:
     def test_shoelace_matches_turning_sign(self):
         # counterclockwise boundary words enclose positive area
         for w in ["0123", "001223", "00121233", "010121232303"]:
             assert area_shoelace(w) > 0
             assert area_shoelace(hat(w)) < 0
+
+
+def test_plain_return_types():
+    """Generated words, traces and parsed chain files are plain values."""
+    assert type(gen_random_polyomino(5, seed=1)) is str
+    assert type(trace("0011")) is tuple
+    records = parse_chain_file("sq: 0123\n0011\n")
+    assert type(records) is tuple
+    assert [type(r) for r in records] == [ChainRecord, ChainRecord]

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwords import (
-    ChainFile,
     ChainFileError,
     ChainRecord,
     parse_chain_file,
@@ -14,37 +13,37 @@ from gridwords import (
 class TestParse:
     def test_basic(self):
         cf = parse_chain_file("# demo\nsq: 0123 @ 2 3\n0011\n")
-        assert len(cf.records) == 2
-        assert cf.records[0] == ChainRecord("0123", name="sq", start=(2, 3))
-        assert cf.records[1] == ChainRecord("0011")
+        assert len(cf) == 2
+        assert cf[0] == ChainRecord("0123", name="sq", start=(2, 3))
+        assert cf[1] == ChainRecord("0011")
 
     def test_blank_lines_and_comments(self):
         cf = parse_chain_file("\n  # note\n\n0123  # trailing comment\n\n")
-        assert [r.word for r in cf.records] == ["0123"]
+        assert [r.word for r in cf] == ["0123"]
 
     def test_whitespace_inside_word(self):
         cf = parse_chain_file("0 123\t0 11\n")
-        assert cf.records[0].word == "0123011"
+        assert cf[0].word == "0123011"
 
     def test_crlf(self):
         cf = parse_chain_file("a: 0123\r\n0011\r\n")
-        assert [r.name for r in cf.records] == ["a", None]
+        assert [r.name for r in cf] == ["a", None]
 
     def test_bytes_input(self):
         cf = parse_chain_file(b"sq: 0123\n")
-        assert cf.records[0].name == "sq"
+        assert cf[0].name == "sq"
 
     def test_negative_start(self):
         cf = parse_chain_file("w: 00 @ -3 -4\n")
-        assert cf.records[0].start == (-3, -4)
+        assert cf[0].start == (-3, -4)
 
     def test_empty_word_record(self):
         cf = parse_chain_file("nil:\n")
-        assert cf.records[0] == ChainRecord("", name="nil")
+        assert cf[0] == ChainRecord("", name="nil")
 
     def test_empty_file(self):
-        assert parse_chain_file("").records == ()
-        assert parse_chain_file("# only a comment\n").records == ()
+        assert parse_chain_file("") == ()
+        assert parse_chain_file("# only a comment\n") == ()
 
 
 class TestErrors:
@@ -70,7 +69,7 @@ class TestErrors:
         assert excinfo.value.column == 10
         assert "invalid character 'x'" in str(excinfo.value)
         cf = parse_chain_file("w:\t01\u00a02\u20003 3\n")
-        assert cf.records[0].word == "01233"
+        assert cf[0].word == "01233"
 
     def test_duplicate_label(self):
         with pytest.raises(ChainFileError, match="duplicate"):
@@ -92,7 +91,7 @@ class TestSerialize:
     def test_roundtrip(self):
         cf = parse_chain_file("# demo\nsq: 0123 @ 2 3\n0011\nnil:\n")
         text = serialize_chain_file(cf)
-        assert parse_chain_file(text).records == cf.records
+        assert parse_chain_file(text) == cf
 
     def test_canonical_form(self):
         cf = parse_chain_file("sq:   0 1 2 3   @  2  3\n")
@@ -116,7 +115,7 @@ def chain_files(draw):
         for (word, named, start), label in zip(shapes, labels)
         if word or named or start is not None
     ]
-    return ChainFile(tuple(records))
+    return tuple(records)
 
 
 @settings(max_examples=200)

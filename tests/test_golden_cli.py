@@ -37,7 +37,7 @@ def corpus():
     words += ["00112233", "0011122333", "0011223", "0022", "01230123"]
     for cells, seed in ((1, 0), (2, 1), (5, 2), (8, 5), (12, 3), (20, 4),
                         (30, 7), (45, 11)):
-        w = str(gen_random_polyomino(cells, seed))
+        w = gen_random_polyomino(cells, seed)
         words += [w, hat(w)]
     words += _random_words(2024, 12, 14)
     return words

@@ -91,7 +91,7 @@ def calls(monkeypatch):
     return counts
 
 
-BOUNDARIES = ("0123", "00121233", hat("00121233"), str(gen_random_polyomino(40, 3)))
+BOUNDARIES = ("0123", "00121233", hat("00121233"), gen_random_polyomino(40, 3))
 
 
 @pytest.mark.parametrize("word", BOUNDARIES)

@@ -60,7 +60,7 @@ class TestBoundaryWord:
 
     def test_roundtrip_generated(self):
         for seed in range(40):
-            w = str(gen_random_polyomino(25, seed=seed))
+            w = gen_random_polyomino(25, seed=seed)
             cells = enclosed_cells(orient_ccw(w))
             word, start = boundary_word(cells)
             assert enclosed_cells(word, start=start) == cells

@@ -64,7 +64,7 @@ class TestRenderSvg:
             tuple(int(v) for v in pair.split(","))
             for pair in line.attrib["points"].split()
         ]
-        assert len(pts) == len(t.vertices)
+        assert len(pts) == len(t)
         # y axis is flipped so larger path y means smaller pixel y
         assert pts[0] == (MARGIN * SCALE, (2 + MARGIN) * SCALE)
         assert pts[-1] == ((2 + MARGIN) * SCALE, MARGIN * SCALE)

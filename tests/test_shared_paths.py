@@ -27,7 +27,7 @@ def test_invalid_letter_names_the_character(func, word, bad):
 def _shapes():
     for cells in (1, 4, 9, 25, 60):
         for seed in range(6):
-            w = str(gen_random_polyomino(cells, seed))
+            w = gen_random_polyomino(cells, seed)
             yield w
             yield hat(w)
 
@@ -35,7 +35,7 @@ def _shapes():
 def test_split_corners_lie_on_the_traced_word():
     for w in _shapes():
         s = split_extremal(w)
-        pos = trace(s.word).vertices
+        pos = trace(s.word)
         cuts = [0]
         for arc in s.arcs[:3]:
             cuts.append(cuts[-1] + len(arc))

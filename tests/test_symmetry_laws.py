@@ -12,11 +12,7 @@ from hypothesis import strategies as st
 from gridwords import gen_random_polyomino, hat, is_digitally_convex, reflect, rotate
 from gridwords.chain import path_facts
 
-polyominoes = st.builds(
-    lambda cells, seed: str(gen_random_polyomino(cells, seed)),
-    st.integers(1, 20),
-    st.integers(0, 2**32 - 1),
-)
+polyominoes = st.builds(gen_random_polyomino, st.integers(1, 20), st.integers(0, 2**32 - 1))
 
 
 def images(word, shift):

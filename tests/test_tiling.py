@@ -127,7 +127,7 @@ class TestFactorizationLaws:
 
     def test_generated_polyominoes(self):
         for seed in range(30):
-            w = str(gen_random_polyomino(12, seed=seed))
+            w = gen_random_polyomino(12, seed=seed)
             facts = bn_factorizations(w)
             assert square_count(w) <= 2
             for f in facts:
