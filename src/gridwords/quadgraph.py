@@ -11,11 +11,7 @@ tree path from the root down to its node, and the walk reads a point only
 at the first revisit, where the letter counts of the word spell it.
 """
 
-# Node layout: [father, slot, visited, 4 children, 4 links].  Plain lists
-# keep per-node overhead low enough for million-step paths.
-_FATHER, _SLOT, _VISITED = 0, 1, 2
-_CHILD = 3  # four slots indexed by alpha + 2*beta, child point (2x+alpha, 2y+beta)
-_LINK = 7   # four slots indexed by letter, neighbor link memo
+from array import array
 
 # Per letter: the slot bit the step flips, and the value of that bit for
 # which the neighbor keeps the father.  A node's slot is x%2 + 2*(y%2).
@@ -23,6 +19,11 @@ _MOVE = ((1, 0), (2, 0), (1, 1), (2, 2))
 
 # Chain letters to letter codes 0-3, for walking an encoded word.
 _CODES = bytes.maketrans(b"0123", bytes(range(4)))
+
+# Nodes a new tree has room for before its storage first doubles, and the
+# zeroed storage it copies.
+_START_NODES = 64
+_BLANK = array("i", bytes(4 * _START_NODES))
 
 
 def father_point(x, y):
@@ -42,63 +43,77 @@ def sibling_condition(eps, x, y):
     return ((x & 1) + 2 * (y & 1)) & bit == keep
 
 
-def _child(parent, slot):
-    node = parent[_CHILD + slot]
-    if node is None:
-        node = [parent, slot, False, None, None, None, None, None, None, None, None]
-        parent[_CHILD + slot] = node
-    return node
-
-
-def _link(a, eps, b):
-    a[_LINK + eps] = b
-    b[_LINK + ((eps + 2) & 3)] = a
-
-
-def _neighbor(node, eps):
-    n = node[_LINK + eps]
-    if n is not None:
-        return n
-    bit, keep = _MOVE[eps]
-    slot = node[_SLOT]
-    f = node[_FATHER]
-    if slot & bit != keep:
-        if f is node:  # only the root is its own father: the step leaves N x N
-            raise ValueError("out of quadrant")
-        f = _neighbor(f, eps)
-    n = _child(f, slot ^ bit)
-    _link(node, eps, n)
-    return n
-
-
 class QuadGraph:
     """Growing quadtree graph tracking visited points of a lattice walk.
 
-    Starts with the origin plus its two axis neighbors (linked), seeds the
-    walk at `start` (first quadrant), and exposes `step`, which moves the
-    current point by one letter and reports whether the target was already
-    visited.
+    Seeds the walk at `start` (first quadrant) and exposes `step`, which
+    moves the current point by one letter and reports whether the target
+    was already visited.
 
-    A node is the list [father, slot, visited, 4 children, 4 links].  The
-    root is the origin: its own father and its own 0-child.  Coordinates
-    live only in the tree path, whose slots spell their binary digits, and
-    in the word being walked.
+    The tree lives in flat arrays indexed by node id, so no Python object
+    is made per node.  Nodes are allocated four siblings at a time: node k
+    has slot k & 3 and father `_up[k >> 2]`, `_kids[k]` is the id of its
+    first child (0 if it has none), `_links[eps][k]` memoizes its
+    eps-neighbor when that is not a sibling (0 if unknown), and `_vis[k]`
+    marks it visited.  Group 0 holds the root's children; the root is node
+    0, the origin, its own father and its own 0-child.  Coordinates live
+    only in the tree path, whose slots spell their binary digits, and in
+    the word being walked.  Node ids are C ints; a tree of 2^31 nodes would
+    take about 47 GB, so memory runs out before the ids do.
     """
 
     def __init__(self, start=(0, 0)):
-        root = [None, 0, False, None, None, None, None, None, None, None, None]
-        root[_FATHER] = root[_CHILD] = root  # the origin halves and doubles to itself
-        self._root = root
-        _link(root, 0, _child(root, 1))
-        _link(root, 1, _child(root, 2))
         sx, sy = start
         if sx < 0 or sy < 0:
             raise ValueError("start must lie in the first quadrant")
-        seed = root
+        self._up = _BLANK[: _START_NODES >> 2]
+        self._kids = _BLANK[:]
+        self._links = (_BLANK[:], _BLANK[:], _BLANK[:], _BLANK[:])
+        self._vis = bytearray(_START_NODES)
+        self._end = 4  # the next free node id: group 0 is taken
+        seed = 0
         for k in range(max(sx.bit_length(), sy.bit_length()) - 1, -1, -1):
-            seed = _child(seed, (sx >> k & 1) + 2 * (sy >> k & 1))
-        seed[_VISITED] = True
+            seed = self._first_child(seed) + (sx >> k & 1) + 2 * (sy >> k & 1)
+        self._vis[seed] = 1
         self._current = seed
+
+    def _first_child(self, f):
+        """Id of node f's 0-child, allocating f's four children if missing."""
+        first = self._kids[f]
+        if first or not f:  # the root's children are group 0
+            return first
+        first = self._end
+        if first == len(self._vis):  # double every array in place
+            zeros = array("i", bytes(4 * first))
+            for a in (self._kids, *self._links):
+                a.extend(zeros)
+            self._up.extend(zeros[: first >> 2])
+            self._vis.extend(bytes(first))
+        self._end = first + 4
+        self._up[first >> 2] = f
+        self._kids[f] = first
+        return first
+
+    def _neighbor(self, k, eps):
+        """The eps-neighbor of node k, when it is no sibling and not memoized.
+
+        It is then a child of the father's eps-neighbor: allocated if
+        missing, and linked to k both ways.  A step off the quadrant raises
+        ValueError before anything changes.
+        """
+        if not k:  # the root: the step leaves N x N
+            raise ValueError("out of quadrant")
+        bit, keep = _MOVE[eps]
+        link = self._links[eps]
+        f = self._up[k >> 2]
+        if f & bit == keep:
+            f ^= bit
+        else:
+            f = link[f] or self._neighbor(f, eps)
+        n = self._first_child(f) + ((k & 3) ^ bit)
+        link[k] = n
+        self._links[eps ^ 2][n] = k
+        return n
 
     def step(self, eps):
         """Move the current point one unit in direction eps.
@@ -116,16 +131,20 @@ class QuadGraph:
 
         None if every target is new.  Trusts its input: callers validate.
         """
+        move = _MOVE
+        links = self._links
+        vis = self._vis
         cur = self._current
         for i, eps in enumerate(codes):
-            n = cur[_LINK + eps]
-            if n is None:
-                n = _neighbor(cur, eps)
-            cur = n
-            if n[_VISITED]:
+            bit, keep = move[eps]
+            if cur & bit == keep:
+                cur ^= bit
+            else:
+                cur = links[eps][cur] or self._neighbor(cur, eps)
+            if vis[cur]:
                 self._current = cur
                 return i + 1
-            n[_VISITED] = True
+            vis[cur] = 1
         self._current = cur
         return None
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -13,35 +14,39 @@ from gridwords import (
     normalize,
     sibling_condition,
 )
-from gridwords.quadgraph import _CHILD, _FATHER, _LINK, _SLOT, _VISITED
+from gridwords.quadgraph import _MOVE
 from helpers import STEP, first_intersection_oracle, revisit_flags
 
 
-# Read-only views of a QuadGraph's tree, through the node layout.  Nodes
-# hold no coordinates: each point is spelled by the slots on its tree path.
+# Read-only views of a QuadGraph's tree, through its flat arrays.  Nodes
+# come four siblings at a time: node k has slot k & 3, father
+# g._up[k >> 2] and first child g._kids[k] (0 for none, except at the root,
+# whose children are group 0).  Nodes hold no coordinates: each point is
+# spelled by the slots on its tree path.
 
 
 def _walk(g):
     """Every node with its point, read off the slots from the root down."""
-    stack = [(g._root, 0, 0)]
+    stack = [(0, 0, 0)]
     while stack:
         node, x, y = stack.pop()
         yield node, (x, y)
-        for slot in range(4):
-            child = node[_CHILD + slot]
-            if child is not None and child is not node:  # the root is its own 0-child
-                stack.append((child, 2 * x + (slot & 1), 2 * y + (slot >> 1)))
+        first = g._kids[node]
+        if first or node == 0:
+            for slot in range(4):
+                if first + slot != node:  # the root is its own 0-child
+                    stack.append((first + slot, 2 * x + (slot & 1), 2 * y + (slot >> 1)))
 
 
 def _point(g, node):
     """A node's point, read off the slots on the climb to the root."""
     x = y = k = 0
-    while node is not g._root:
-        slot = node[_SLOT]
+    while node != 0:
+        slot = node & 3
         x |= (slot & 1) << k
         y |= (slot >> 1) << k
         k += 1
-        node = node[_FATHER]
+        node = g._up[node >> 2]
     return x, y
 
 
@@ -54,36 +59,43 @@ def points(g):
 
 
 def visited_points(g):
-    return frozenset(p for n, p in _walk(g) if n[_VISITED])
+    return frozenset(p for n, p in _walk(g) if g._vis[n])
 
 
 def _find(g, point):
     x, y = point
     if x < 0 or y < 0:
         return None
-    node = g._root
+    node = 0
     for k in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
-        node = node[_CHILD + ((x >> k) & 1) + 2 * ((y >> k) & 1)]
-        if node is None:
+        first = g._kids[node]
+        if not first and node != 0:
             return None
+        node = first + ((x >> k) & 1) + 2 * ((y >> k) & 1)
     return node
 
 
 def father(g, point):
     """Father point of an existing node; None for the root or absent points."""
     node = _find(g, point)
-    if node is None or node is g._root:
+    if node is None or node == 0:
         return None
-    return _point(g, node[_FATHER])
+    return _point(g, g._up[node >> 2])
 
 
 def link(g, point, eps):
-    """Memoized eps-neighbor of an existing node, or None."""
+    """Known eps-neighbor of an existing node, or None.
+
+    A sibling is always known; any other neighbor only once memoized.
+    """
     node = _find(g, point)
     if node is None:
         return None
-    n = node[_LINK + eps]
-    return None if n is None else _point(g, n)
+    bit, keep = _MOVE[eps]
+    if node & bit == keep:
+        return _point(g, node ^ bit)
+    n = g._links[eps][node]
+    return None if n == 0 else _point(g, n)
 
 
 class TestFatherPoint:
@@ -133,9 +145,11 @@ class TestSiblingCondition:
 class TestGraphConstruction:
     def test_initial_graph(self):
         g = QuadGraph()
-        assert node_count(g) == 3
+        # group 0 alone: the root (0,0) is its own 0-child, beside (1,0),
+        # (0,1) and (1,1); its neighbors are siblings, known without a link
+        assert node_count(g) == 4
         assert visited_points(g) == {(0, 0)}
-        assert points(g) == {(0, 0), (1, 0), (0, 1)}
+        assert points(g) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert link(g, (0, 0), 0) == (1, 0)
         assert link(g, (0, 0), 1) == (0, 1)
         assert link(g, (1, 0), 2) == (0, 0)
@@ -154,10 +168,22 @@ class TestGraphConstruction:
         g = QuadGraph()
         revisits = [g.step(int(c)) for c in "0011"]
         assert revisits == [False, False, False, False]
-        assert node_count(g) == 7
+        # Group 0 holds (0,0), (1,0), (0,1), (1,1).  Then:
+        #   0: (0,0) -> (1,0), a sibling: nothing new.
+        #   0: (1,0) -> (2,0), not a sibling: the father (0,0) steps to its
+        #      sibling (1,0), whose children (2,0), (3,0), (2,1), (3,1)
+        #      come as group 1.
+        #   1: (2,0) -> (2,1), a sibling in group 1: nothing new.
+        #   1: (2,1) -> (2,2), not a sibling: the father (1,0) steps to its
+        #      sibling (1,1), whose children (2,2), (3,2), (2,3), (3,3)
+        #      come as group 2.
+        # Three groups of four: 12 nodes.
+        assert node_count(g) == 12
         assert visited_points(g) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
         assert points(g) == {
-            (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (2, 2),
+            (0, 0), (1, 0), (0, 1), (1, 1),
+            (2, 0), (3, 0), (2, 1), (3, 1),
+            (2, 2), (3, 2), (2, 3), (3, 3),
         }
         # neighbor links created on the way, both directions
         assert link(g, (1, 0), 1) == (1, 1)
@@ -335,4 +361,19 @@ def test_peak_memory_per_letter():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 320 * len(word)
+    assert peak <= 160 * len(word)
+
+
+def test_walk_makes_no_tracked_object_per_node():
+    # the tree is flat arrays: walking adds nodes, not objects for the GC
+    word = "".join(random.Random(17).choices("01", k=1 << 14))
+    gc.disable()
+    try:
+        g = QuadGraph()
+        before = len(gc.get_objects())
+        for c in word:
+            g.step(int(c))
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert grown <= 64

@@ -1,15 +1,17 @@
 """Long sweeps, left out of the default run; run them with `pytest -m slow`.
 
-The symmetry laws of `test_symmetry_laws.py` on 1,500 seeded shapes, and
-the word-route convexity verdict against the fill-and-hull oracle on
-every boundary word of perimeter 16 and 18.
+The symmetry laws of `test_symmetry_laws.py` on 1,500 seeded shapes, the
+word-route convexity verdict against the fill-and-hull oracle on every
+boundary word of perimeter 16 and 18, and the quadtree walk against the
+hash-set walk on 2^20-letter paths, whose trees outgrow their first
+storage many times over.
 """
 
 import pytest
 
-from gridwords import gen_random_polyomino, is_digitally_convex
+from gridwords import detect_first_intersection, gen_random_polyomino, is_digitally_convex
 from gridwords.chain import path_facts
-from helpers import boundary_words, convexity_oracle
+from helpers import boundary_words, convexity_oracle, first_intersection_oracle
 from test_symmetry_laws import images
 
 pytestmark = pytest.mark.slow
@@ -31,3 +33,28 @@ def test_symmetry_laws_on_seeded_shapes():
 def test_convexity_routes_agree_exhaustively(perimeter):
     for w in boundary_words(perimeter):
         assert is_digitally_convex(w) == convexity_oracle(w), w
+
+
+def _long_walk(kind, n=1 << 20):
+    """An n-letter serpentine with rows 517 steps wide; the same with a
+    step down into the row below 300 letters from its end; or a closed
+    simple comb of teeth 480 tall, of about n letters."""
+    if kind == "comb":
+        teeth = (n - 2) // 962
+        return ("1" * 480 + "0" + "3" * 480 + "0") * teeth + "3" + "2" * (2 * teeth) + "1"
+    row = "0" * 517 + "1" + "2" * 517 + "1"
+    serpentine = (row * (n // len(row) + 1))[:n]
+    return serpentine if kind == "serpentine" else serpentine[:-300] + "3" * 300
+
+
+@pytest.mark.parametrize("kind", ["serpentine", "comb", "revisit"])
+def test_long_walks_agree_with_hash_set(kind):
+    word = _long_walk(kind)
+    want = first_intersection_oracle(word)
+    if kind == "serpentine":
+        assert want is None
+    elif kind == "comb":
+        assert want == (len(word), (0, 0))  # simple: only the closing return
+    else:
+        assert want[0] > len(word) - 300
+    assert detect_first_intersection(word) == want
