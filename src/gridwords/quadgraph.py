@@ -2,9 +2,9 @@
 
 Supports walking a chain-code path one unit step at a time while detecting
 the first revisited grid point.  Navigation never hashes coordinates: a
-step either follows a memoized neighbor link or reconstructs the neighbor
-through the father level, where the two points are siblings or their
-fathers are neighbors in turn.
+step either moves to a sibling under the same father, follows a memoized
+neighbor link, or reconstructs the neighbor as a child of the father's
+neighbor.
 
 Nodes store no coordinates.  A point's binary digits are the slots on the
 tree path from the root down to its node, and the walk reads a point only
