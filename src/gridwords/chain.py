@@ -5,6 +5,7 @@ strings; functions that treat a word cyclically say so, and a closed
 word stands for its conjugacy class through `canonical_rotation`.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,12 @@ _REF = tuple(
     str.maketrans(ALPHABET, "".join(ALPHABET[(i - d) % 4] for d in range(4)))
     for i in range(4)
 )
+
+# Letter pairs that turn left (difference 1) and right (difference 3), and
+# the pairs that cancel (difference 2).
+_LEFT = ("01", "12", "23", "30")
+_RIGHT = ("03", "10", "21", "32")
+_CANCEL = re.compile(b"02|20|13|31")
 
 
 def _validate(word):
@@ -70,21 +77,29 @@ def reduce(word, circular=False):
     """Normal form after deleting cancelling step pairs {02, 20, 13, 31}.
 
     With circular=True the seam (last letter against first) is cancelled
-    too, modelling reduction of the conjugacy class.
+    too, modelling reduction of the conjugacy class.  A stack of bytes
+    takes, whole, the stretch up to the next cancelling pair of the input,
+    drops that pair, then pops while the next letter cancels its top: the
+    loop runs once per stretch and once per cancellation.  Free reduction
+    is confluent, so the order of the cancellations does not matter.
     """
-    out = []
-    for ch in _validate(word):
-        if out and (ord(ch) - ord(out[-1])) % 4 == 2:
+    b = _validate(word).encode()
+    out = bytearray()
+    i, n = 0, len(b)
+    while i < n:
+        m = _CANCEL.search(b, i)
+        j = m.start() if m else n
+        out += b[i:j]
+        i = j + 2
+        while i < n and out and (b[i] - out[-1]) % 4 == 2:
             out.pop()
-        else:
-            out.append(ch)
+            i += 1
+    lo, hi = 0, len(out)
     if circular:
-        lo, hi = 0, len(out)
-        while hi - lo >= 2 and (ord(out[lo]) - ord(out[hi - 1])) % 4 == 2:
+        while hi - lo >= 2 and (out[lo] - out[hi - 1]) % 4 == 2:
             lo += 1
             hi -= 1
-        out = out[lo:hi]
-    return "".join(out)
+    return out[lo:hi].decode()
 
 
 def is_closed(word):
@@ -133,20 +148,26 @@ class TurningNumber:
         return str(self.as_rational)
 
 
+def _turns(word, circular):
+    """(left, right) turns of a word with no cancelling pair, read cyclically
+    if circular: the counts of its turning bigrams.  str.count is exact, as
+    a bigram of two different letters cannot overlap itself."""
+    if circular and word:
+        word += word[0]
+    return sum(map(word.count, _LEFT)), sum(map(word.count, _RIGHT))
+
+
 def turning_number(word, circular=False):
     """Left turns minus right turns of the reduced word, in quarter turns.
 
-    Counts 1s minus 3s of the differences of reduce(word, circular); the
-    reduced word has no cancelling pair, so no difference is a half turn.
-    The circular flag requires a closed word.
+    Counts of the turning bigrams of reduce(word, circular), which has no
+    cancelling pair, so no letter pair is a half turn.  The circular flag
+    requires a closed word and counts the seam too.
     """
     if circular and not is_closed(word):
         raise ValueError("not closed")
-    w = reduce(word, circular)
-    if not w:
-        return TurningNumber(0)
-    d = delta_circular(w) if circular else delta(w)
-    return TurningNumber(d.count("1") - d.count("3"))
+    left, right = _turns(reduce(word, circular), circular)
+    return TurningNumber(left - right)
 
 
 def path_facts(word):
@@ -155,13 +176,13 @@ def path_facts(word):
     corners is (S, R) for a boundary word, else None.  A simple word with
     a revisit is closed and longer than 2 (`simple_from_revisit`), so it
     has no cancelling pair, even across the seam: T and (S, R) need no
-    `reduce`, and one count of its cyclic differences gives both.
+    `reduce`, and one count of its turning bigrams, seam included, gives
+    both.
     """
     hit = detect_first_intersection(word)
     simple = simple_from_revisit(word, hit)
     if simple and hit is not None:  # closed, simple and longer than 2
-        d = delta_circular(word)
-        left, right = d.count("1"), d.count("3")
+        left, right = _turns(word, True)
         corners = max(left, right), min(left, right)
         return True, True, TurningNumber(left - right), corners
     closed = is_closed(word)

@@ -4,7 +4,8 @@ Supports walking a chain-code path one unit step at a time while detecting
 the first revisited grid point.  Navigation never hashes coordinates: a
 step either moves to a sibling under the same father, follows a memoized
 neighbor link, or reconstructs the neighbor as a child of the father's
-neighbor.
+neighbor.  The walker does all of this in its own loop; it calls the
+recursive `_neighbor` only when the father's neighbor is not known either.
 
 Nodes store no coordinates.  A point's binary digits are the slots on the
 tree path from the root down to its node, and the walk reads a point only
@@ -98,8 +99,10 @@ class QuadGraph:
         """The eps-neighbor of node k, when it is no sibling and not memoized.
 
         It is then a child of the father's eps-neighbor: allocated if
-        missing, and linked to k both ways.  A step off the quadrant raises
-        ValueError before anything changes.
+        missing, and linked to k both ways.  The walker resolves a miss
+        itself and calls this only for a father whose neighbor is unknown,
+        the root included.  A step off the quadrant raises ValueError
+        before anything changes.
         """
         if not k:  # the root: the step leaves N x N
             raise ValueError("out of quadrant")
@@ -130,9 +133,19 @@ class QuadGraph:
         """Walk letter codes 0-3; letters taken up to the first revisit.
 
         None if every target is new.  Trusts its input: callers validate.
+        A step that leaves its father reads the memo; on a miss the loop
+        takes the father's sibling or memoized neighbor, that node's child
+        group, and links the two nodes both ways.  Only when the father's
+        neighbor is itself unknown does it call `_neighbor`, which recurses
+        up the tree.  Node 0, the origin, is the root and its own father,
+        and its left and down neighbors are never linked, so a step off the
+        quadrant reaches `_neighbor` at the root and raises before anything
+        changes.
         """
         move = _MOVE
         links = self._links
+        up = self._up
+        kids = self._kids
         vis = self._vis
         cur = self._current
         for i, eps in enumerate(codes):
@@ -140,7 +153,18 @@ class QuadGraph:
             if cur & bit == keep:
                 cur ^= bit
             else:
-                cur = links[eps][cur] or self._neighbor(cur, eps)
+                link = links[eps]
+                n = link[cur]
+                if not n:
+                    f = up[cur >> 2]
+                    if f & bit == keep:
+                        f ^= bit
+                    else:
+                        f = link[f] or self._neighbor(f, eps)
+                    n = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
+                    link[cur] = n
+                    links[eps ^ 2][n] = cur
+                cur = n
             if vis[cur]:
                 self._current = cur
                 return i + 1

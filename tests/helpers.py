@@ -136,6 +136,31 @@ def _turn(a, b):
     return 0
 
 
+def reduce_oracle(word, circular=False):
+    """Free reduction one letter at a time on a list stack, then, if
+    circular, cancelling first against last letter while they cancel."""
+    stack = []
+    for ch in word:
+        if stack and (int(ch) - int(stack[-1])) % 4 == 2:
+            stack.pop()
+        else:
+            stack.append(ch)
+    lo, hi = 0, len(stack)
+    while circular and hi - lo >= 2 and (int(stack[lo]) - int(stack[hi - 1])) % 4 == 2:
+        lo += 1
+        hi -= 1
+    return "".join(stack[lo:hi])
+
+
+def turning_oracle(word, circular=False):
+    """(left, right) turns of reduce_oracle(word, circular), letter pair by
+    letter pair, the seam included if circular."""
+    w = reduce_oracle(word, circular)
+    pairs = zip(w, w[1:] + w[:1]) if circular else zip(w, w[1:])
+    turns = [_turn(a, b) for a, b in pairs]
+    return turns.count(1), turns.count(-1)
+
+
 def boundary_words(perimeter):
     """Yield every boundary word of the given length, one per fixed polyomino.
 

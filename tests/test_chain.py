@@ -23,13 +23,40 @@ from gridwords import (
     trace,
     turning_number,
 )
-from helpers import area_shoelace, min_rotation_brute
+from gridwords.chain import TurningNumber, path_facts
+from helpers import (
+    area_shoelace,
+    first_intersection_oracle,
+    min_rotation_brute,
+    reduce_oracle,
+    turning_oracle,
+)
 
 WORDS = ["", "0", "2", "0123", "0011", "00121233", "01012223211", "002", "0321"]
 
 
 def random_word(rng, n):
     return "".join(rng.choice("0123") for _ in range(n))
+
+
+def closed_word(rng, n):
+    """A random closed word of even length n: balanced letters, shuffled."""
+    a = rng.randrange(n // 2 + 1)
+    b = n // 2 - a
+    letters = list("0" * a + "2" * a + "1" * b + "3" * b)
+    rng.shuffle(letters)
+    return "".join(letters)
+
+
+# Every word of length at most 8, then 2,000 seeded words of 50-400
+# letters, half of them closed.
+_rng = random.Random(10)
+ORACLE_WORDS = tuple(
+    "".join(letters) for k in range(9) for letters in itertools.product("0123", repeat=k)
+) + tuple(
+    (closed_word if i % 2 else random_word)(_rng, 2 * _rng.randrange(25, 201))
+    for i in range(2000)
+)
 
 
 class TestTransforms:
@@ -127,6 +154,22 @@ class TestReduce:
             w = random_word(rng, rng.randrange(30))
             assert trace(w)[-1] == trace(reduce(w))[-1]
 
+    def test_against_oracle(self):
+        for w in ORACLE_WORDS:
+            assert reduce(w) == reduce_oracle(w)
+            assert reduce(w, circular=True) == reduce_oracle(w, circular=True)
+
+    def test_linear_work_on_nested_cancellations(self):
+        # Each of these cancels one letter at a time all the way down; a
+        # design that repeats one pass of pair deletions would be quadratic.
+        k = 1 << 17
+        x = random_word(random.Random(11), k)
+        assert reduce("0" * k + "2" * k) == ""
+        assert reduce("02" * k) == ""
+        assert reduce(x + hat(x)) == ""
+        assert reduce("0" * k + "1" + "2" * k) == "0" * k + "1" + "2" * k
+        assert reduce("0" * k + "1" + "2" * k, circular=True) == "1"
+
     def test_circular_trims_seam(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -178,6 +221,21 @@ class TestTurningNumber:
         # spur 0 then 2 retraces; the turning comes from the reduced word
         assert turning_number("020123", circular=True).quarter_turns == 4
 
+    def test_edge_cases(self):
+        assert turning_number("").quarter_turns == 0
+        assert turning_number("", circular=True).quarter_turns == 0
+        assert turning_number("02", circular=True).quarter_turns == 0
+        with pytest.raises(ValueError, match="not closed"):
+            turning_number("0", circular=True)
+
+    def test_against_oracle(self):
+        for w in ORACLE_WORDS:
+            left, right = turning_oracle(w)
+            assert turning_number(w).quarter_turns == left - right
+            if is_closed(w):
+                left, right = turning_oracle(w, circular=True)
+                assert turning_number(w, circular=True).quarter_turns == left - right
+
 
 class TestOrientation:
     def test_orient_ccw(self):
@@ -197,6 +255,23 @@ class TestOrientation:
         # orientation of the input does not matter
         assert salient_reentrant("0321") == (4, 0)
         assert salient_reentrant(hat("00121233")) == (5, 1)
+
+    def test_path_facts_frozen(self):
+        assert path_facts("0123") == (True, True, TurningNumber(4), (4, 0))
+        assert path_facts(hat("0123")) == (True, True, TurningNumber(-4), (4, 0))
+
+    def test_corners_against_oracle(self):
+        boundaries = 0
+        for w in ORACLE_WORDS:
+            corners = path_facts(w)[3]
+            if corners is None:
+                hit = first_intersection_oracle(w)
+                assert not (is_closed(w) and len(w) > 2 and hit[0] == len(w))
+                continue
+            left, right = turning_oracle(w, circular=True)
+            assert corners == (max(left, right), min(left, right))
+            boundaries += 1
+        assert boundaries == 2 * (4 * 1 + 6 * 2 + 8 * (6 + 1))
 
     def test_salient_minus_reentrant_is_four(self):
         for w in ["0123", "001223", "00121233", "0001212233", "010121232303"]:
