@@ -69,31 +69,27 @@ def delta_circular(word):
     """
     if not word:
         raise ValueError("delta undefined on empty circular word")
-    b = word.encode()
-    return delta(word) + ALPHABET[(b[0] - b[-1]) % 4]
+    return delta(word + word[:1])
 
 
 def reduce(word, circular=False):
     """Normal form after deleting cancelling step pairs {02, 20, 13, 31}.
 
     With circular=True the seam (last letter against first) is cancelled
-    too, modelling reduction of the conjugacy class.  A stack of bytes
-    takes, whole, the stretch up to the next cancelling pair of the input,
-    drops that pair, then pops while the next letter cancels its top: the
-    loop runs once per stretch and once per cancellation.  Free reduction
-    is confluent, so the order of the cancellations does not matter.
+    too, modelling reduction of the conjugacy class.  One split at the
+    input's cancelling pairs drops those pairs and leaves stretches free of
+    them.  A stack of bytes pops while a stretch's next letter cancels its
+    top, then takes the rest of the stretch whole: the loop runs once per
+    stretch and once per cancellation.  Free reduction is confluent, so the
+    order of the cancellations does not matter.
     """
-    b = _validate(word).encode()
     out = bytearray()
-    i, n = 0, len(b)
-    while i < n:
-        m = _CANCEL.search(b, i)
-        j = m.start() if m else n
-        out += b[i:j]
-        i = j + 2
-        while i < n and out and (b[i] - out[-1]) % 4 == 2:
+    for piece in _CANCEL.split(_validate(word).encode()):
+        k, n = 0, len(piece)
+        while k < n and out and (piece[k] - out[-1]) % 4 == 2:
             out.pop()
-            i += 1
+            k += 1
+        out += piece[k:]
     lo, hi = 0, len(out)
     if circular:
         while hi - lo >= 2 and (out[lo] - out[hi - 1]) % 4 == 2:

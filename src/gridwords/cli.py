@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Record commands (analyze, intersect, convex, tile, render) accept literal
-chain words, chain-file paths, or `-` for a chain file on stdin.  An
-argument made only of the letters 0123 is always a word, so a chain file
-with such a name is passed with a directory part, as in `./0123`.
-Reports are line-oriented key=value text or JSON with --format machine.
-christoffel and gen build at most 2^20 letters and render draws at most
-2^20 grid dots per call.  Exit codes: 0 success, 1 failed --check, 2 input errors.
+The four record commands (analyze, intersect, convex, tile) and render
+accept literal chain words, chain-file paths, or `-` for a chain file on
+stdin.  An argument made only of the letters 0123 is always a word, so a
+chain file with such a name is passed with a directory part, as in `./0123`.
+--check belongs to the four record commands.  --format belongs to every
+command but render, which prints SVG: key=value text, or JSON with
+--format machine.  christoffel and gen build at most 2^20 letters per call;
+the 2^20 grid-dot bound on render belongs to `render_svg`.  Exit codes:
+0 success, 1 failed --check, 2 input errors.
 """
 
 import argparse
@@ -23,8 +25,8 @@ from .quadgraph import detect_first_intersection
 from .render import render_svg
 from .tiling import TileClass, bn_factorizations
 
-# Letters christoffel and gen may build, and grid dots render may draw, in
-# one call: the length of the longest walks the package is benchmarked on.
+# Letters christoffel and gen may build in one call: the length of the
+# longest walks the package is benchmarked on.
 _MAX_LETTERS = 1 << 20
 
 
@@ -132,13 +134,16 @@ def cmd_record(args):
     return 1 if args.check and not passed else 0
 
 
+def _emit(args, payload, text):
+    """Print payload as JSON under --format machine, else the text."""
+    print(json.dumps(payload) if args.format == "machine" else text)
+    return 0
+
+
 def cmd_lyndon(args):
     factors = lyndon_factorize(args.word)
-    if args.format == "machine":
-        print(json.dumps({"word": args.word, "factors": factors}))
-    else:
-        print(format_factorization(factors))
-    return 0
+    return _emit(args, {"word": args.word, "factors": factors},
+                 format_factorization(factors))
 
 
 def cmd_christoffel(args):
@@ -148,11 +153,7 @@ def cmd_christoffel(args):
             f"the limit is {_MAX_LETTERS}"
         )
     word = christoffel(args.a, args.b)
-    if args.format == "machine":
-        print(json.dumps({"a": args.a, "b": args.b, "word": word}))
-    else:
-        print(word)
-    return 0
+    return _emit(args, {"a": args.a, "b": args.b, "word": word}, word)
 
 
 def cmd_render(args):
@@ -160,20 +161,12 @@ def cmd_render(args):
     if len(records) != 1:
         raise ValueError("render expects exactly one word")
     rec = records[0]
-    path = trace(rec.word, rec.start or (0, 0))
-    xs, ys = zip(*path)
-    width, height = max(xs) - min(xs) + 1, max(ys) - min(ys) + 1
-    if width * height > _MAX_LETTERS:
-        raise ValueError(
-            f"render of a {width}x{height} box would draw {width * height} grid dots; "
-            f"the limit is {_MAX_LETTERS}"
-        )
     labels = None
     if args.labels == "letters":
         labels = list(rec.word)
     elif args.labels == "delta" and rec.word:
         labels = [None] + list(delta(rec.word))
-    svg = render_svg(path, labels=labels)
+    svg = render_svg(trace(rec.word, rec.start or (0, 0)), labels=labels)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
@@ -193,58 +186,54 @@ def cmd_gen(args):
             f"the limit is {_MAX_LETTERS}"
         )
     words = [gen_random_polyomino(args.cells, args.seed + k) for k in range(args.count)]
-    if args.format == "machine":
-        print(json.dumps({"words": words}))
-    else:
-        for w in words:
-            print(w)
-    return 0
+    return _emit(args, {"words": words}, "\n".join(words))
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    check = argparse.ArgumentParser(add_help=False)
+    check.add_argument(
         "--check", action="store_true", help="exit 1 on any false analysis result"
     )
-    common.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format", choices=("text", "machine"), default="text",
         help="report style: key=value lines or JSON",
+    )
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument(
+        "input", nargs="+",
+        help="chain word, chain file, or -; a file named only by 0123 "
+        "letters needs a directory part, e.g. ./0123",
     )
     parser = argparse.ArgumentParser(
         prog="gridwords", description="Chain-code word analysis on the square grid."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def record_command(name, help_text, verdict=None, to_text=_print_lines,
-                       func=cmd_record):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument(
-            "input", nargs="+",
-            help="chain word, chain file, or -; a file named only by 0123 "
-            "letters needs a directory part, e.g. ./0123",
-        )
-        p.set_defaults(func=func, verdict=verdict, to_text=to_text)
-        return p
+    for name, help_text, verdict, to_text in (
+        ("analyze", "closedness, simplicity, turning, corners", _analyze, _print_lines),
+        ("intersect", "first self-intersection of the path", _intersect, _print_lines),
+        ("convex", "digital convexity and arc factorizations", _convex, _print_lines),
+        ("tile", "tiling class and boundary factorizations", _tile, _print_tiles),
+    ):
+        p = sub.add_parser(name, parents=[check, fmt, inputs], help=help_text)
+        p.set_defaults(func=cmd_record, verdict=verdict, to_text=to_text)
 
-    record_command("analyze", "closedness, simplicity, turning, corners", _analyze)
-    record_command("intersect", "first self-intersection of the path", _intersect)
-    record_command("convex", "digital convexity and arc factorizations", _convex)
-    record_command("tile", "tiling class and boundary factorizations", _tile, _print_tiles)
-
-    p = sub.add_parser("lyndon", parents=[common], help="Lyndon factorization of a raw word")
+    p = sub.add_parser("lyndon", parents=[fmt], help="Lyndon factorization of a raw word")
     p.add_argument("word")
     p.set_defaults(func=cmd_lyndon)
 
-    p = sub.add_parser("christoffel", parents=[common], help="lower Christoffel word")
+    p = sub.add_parser("christoffel", parents=[fmt], help="lower Christoffel word")
     p.add_argument("a", type=int, help="number of 0s")
     p.add_argument("b", type=int, help="number of 1s")
     p.set_defaults(func=cmd_christoffel)
 
-    p = record_command("render", "SVG drawing of a path", func=cmd_render)
+    p = sub.add_parser("render", parents=[inputs], help="SVG drawing of a path")
     p.add_argument("--svg", metavar="PATH", help="write the SVG here instead of stdout")
     p.add_argument("--labels", choices=("letters", "delta"), help="per-edge labels")
+    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("gen", parents=[common], help="random polyomino boundary words")
+    p = sub.add_parser("gen", parents=[fmt], help="random polyomino boundary words")
     p.add_argument("--cells", type=int, default=10, help="cell count (default 10)")
     p.add_argument("--count", type=int, default=1, help="how many words (default 1)")
     p.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")

@@ -53,11 +53,8 @@ def christoffel(a, b):
     if gcd(a, b) != 1:
         raise ValueError("not primitive")
     n = a + b
-    if n == 1:
-        # the residue comparison below degenerates at length one
-        return "0" if a else "1"
     return "".join(
-        "0" if (i * b) % n > ((i - 1) * b) % n else "1" for i in range(1, n + 1)
+        "0" if (i * b) // n == ((i - 1) * b) // n else "1" for i in range(1, n + 1)
     )
 
 

@@ -7,18 +7,26 @@ from xml.sax.saxutils import escape
 
 SCALE = 24  # pixels per grid unit
 MARGIN = 1  # grid units of blank border around the bounding box
+MAX_DOTS = 1 << 20  # grid dots one drawing may hold, one per point of the box
 
 
 def render_svg(vertices, labels=None):
     """SVG text for a path given by its vertices, as `trace` returns them.
 
     labels: optional sequence of per-edge strings (None entries skipped),
-    aligned with the path's edges.
+    aligned with the path's edges.  Raises ValueError, before drawing
+    anything, when the bounding box holds more than MAX_DOTS points.
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
+    dots = (maxx - minx + 1) * (maxy - miny + 1)
+    if dots > MAX_DOTS:
+        raise ValueError(
+            f"render of a {maxx - minx + 1}x{maxy - miny + 1} box would draw "
+            f"{dots} grid dots; the limit is {MAX_DOTS}"
+        )
 
     def px(x):
         return (x - minx + MARGIN) * SCALE

@@ -176,6 +176,15 @@ class TestWordCommands:
         rc, _, err = run(capsys, "christoffel", "2", "4")
         assert rc == 2 and "not primitive" in err
 
+    def test_lyndon_machine(self, capsys):
+        rc, out, _ = run(capsys, "lyndon", "--format", "machine", "1011")
+        assert rc == 0
+        assert out == '{"word": "1011", "factors": [["1", 1], ["011", 1]]}\n'
+
+    def test_christoffel_machine(self, capsys):
+        rc, out, _ = run(capsys, "christoffel", "--format", "machine", "3", "1")
+        assert rc == 0 and out == '{"a": 3, "b": 1, "word": "0001"}\n'
+
 
 class TestRender:
     def test_stdout_svg(self, capsys):
@@ -232,3 +241,22 @@ class TestGen:
         rc, out, _ = run(capsys, "gen", "--cells", "9", "--count", "4")
         for w in out.split():
             assert is_closed(w) and is_simple(w)
+
+
+class TestOptionPlacement:
+    """A subcommand accepts only the options it acts on: --check belongs to
+    the four verdict commands and --format to every command but render."""
+
+    @pytest.mark.parametrize("argv", [
+        ("lyndon", "--check", "10"),
+        ("christoffel", "--check", "3", "1"),
+        ("gen", "--check"),
+        ("render", "--check", "01"),
+        ("render", "--format", "machine", "01"),
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"error: unrecognized arguments: {argv[1]}" in err

@@ -3,7 +3,7 @@ escape."""
 
 import json
 
-from gridwords import cli
+from gridwords import cli, render
 
 
 def run(capsys, *argv):
@@ -69,19 +69,19 @@ class TestChristoffelLimits:
 
 class TestRenderLimits:
     def test_over_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
+        monkeypatch.setattr(render, "MAX_DOTS", 8)
         rc, out, err = run(capsys, "render", "0011")
         assert (rc, out) == (2, "")
         assert err == "error: render of a 3x3 box would draw 9 grid dots; the limit is 8\n"
 
     def test_at_limit_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_LETTERS", 9)
+        monkeypatch.setattr(render, "MAX_DOTS", 9)
         rc, out, err = run(capsys, "render", "0011")
         assert (rc, err) == (0, "")
         assert out.count("<circle") == 9 + 1  # the grid dots and the start marker
 
     def test_long_word_in_a_small_box_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_LETTERS", 4)
+        monkeypatch.setattr(render, "MAX_DOTS", 4)
         assert run(capsys, "render", "0123" * 1000)[0] == 0
 
 

@@ -1,7 +1,9 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from gridwords import delta, render_svg, trace
-from gridwords.render import MARGIN, SCALE
+from gridwords.render import MARGIN, MAX_DOTS, SCALE
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -68,3 +70,15 @@ class TestRenderSvg:
         # y axis is flipped so larger path y means smaller pixel y
         assert pts[0] == (MARGIN * SCALE, (2 + MARGIN) * SCALE)
         assert pts[-1] == ((2 + MARGIN) * SCALE, MARGIN * SCALE)
+
+
+class TestRenderLimit:
+    def test_box_over_limit_raises(self):
+        # a 1025x1025 box: 1,050,625 points, just over 2^20
+        with pytest.raises(ValueError) as exc:
+            render_svg(trace("0" * 1024 + "1" * 1024))
+        assert str(exc.value) == (
+            "render of a 1025x1025 box would draw 1050625 grid dots; "
+            f"the limit is {MAX_DOTS}"
+        )
+        assert MAX_DOTS == 1 << 20
