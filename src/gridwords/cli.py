@@ -6,8 +6,9 @@ stdin.  An argument made only of the letters 0123 is always a word, so a
 chain file with such a name is passed with a directory part, as in `./0123`.
 --check belongs to the four record commands.  --format belongs to every
 command but render, which prints SVG: key=value text, or JSON with
---format machine.  christoffel and gen build at most 2^20 letters per call;
-the 2^20 grid-dot bound on render belongs to `render_svg`.  Exit codes:
+--format machine.  christoffel and gen build at most 2^20 letters per call,
+and render draws words of at most 2^20 letters; the 2^20 grid-dot bound on
+render belongs to `render_svg`.  Exit codes:
 0 success, 1 failed --check, 2 input errors.
 """
 
@@ -16,13 +17,13 @@ import json
 import os
 import sys
 
+from . import render
 from .chain import delta, path_facts, simple_from_revisit, trace
 from .chainfile import ChainRecord, parse_chain_file
 from .convexity import decide_convexity
 from .generate import gen_random_polyomino
 from .lyndon import christoffel, format_factorization, lyndon_factorize
 from .quadgraph import detect_first_intersection
-from .render import render_svg
 from .tiling import TileClass, bn_factorizations
 
 # Letters christoffel and gen may build in one call: the length of the
@@ -161,12 +162,17 @@ def cmd_render(args):
     if len(records) != 1:
         raise ValueError("render expects exactly one word")
     rec = records[0]
+    n = len(rec.word)
+    if n > render.MAX_DOTS:
+        raise ValueError(
+            f"render of a {n}-letter word; the limit is {render.MAX_DOTS} letters"
+        )
     labels = None
     if args.labels == "letters":
         labels = list(rec.word)
     elif args.labels == "delta" and rec.word:
         labels = [None] + list(delta(rec.word))
-    svg = render_svg(trace(rec.word, rec.start or (0, 0)), labels=labels)
+    svg = render.render_svg(trace(rec.word, rec.start or (0, 0)), labels=labels)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")

@@ -1,15 +1,18 @@
 """Radix quadtree over first-quadrant lattice points with lazy neighbor links.
 
 Supports walking a chain-code path one unit step at a time while detecting
-the first revisited grid point.  Navigation never hashes coordinates: a
-step either moves to a sibling under the same father, follows a memoized
+the first revisited grid point.  The tree's nodes are 8x8 tiles of points
+with a byte of visited mark per point, so a step inside a tile only moves
+an offset.  Navigation never hashes coordinates: a step out of a tile
+either moves to a sibling tile under the same father, follows a memoized
 neighbor link, or reconstructs the neighbor as a child of the father's
 neighbor.  The walker does all of this in its own loop; it calls the
 recursive `_neighbor` only when the father's neighbor is not known either.
 
-Nodes store no coordinates.  A point's binary digits are the slots on the
-tree path from the root down to its node, and the walk reads a point only
-at the first revisit, where the letter counts of the word spell it.
+Nodes store no coordinates.  A tile's binary digits are the slots on the
+tree path from the root down to its node, a point's place in its tile is
+its mark's offset, and the walk reads a point only at the first revisit,
+where the letter counts of the word spell it.
 """
 
 from array import array
@@ -17,6 +20,12 @@ from array import array
 # Per letter: the slot bit the step flips, and the value of that bit for
 # which the neighbor keeps the father.  A node's slot is x%2 + 2*(y%2).
 _MOVE = ((1, 0), (2, 0), (1, 1), (2, 2))
+
+# Per letter, for marks indexed 8*(y%8) + x%8: the mask of the coordinate
+# the step changes, its value on the tile edge the step leaves by, the
+# offset to the target inside the tile, and the offset to it across the edge.
+_TILE = ((7, 7, 1, -7), (56, 56, 8, -56), (7, 0, -1, 7), (56, 0, -8, 56))
+_NO_MARKS = bytes(64)  # a new tile's marks
 
 # Chain letters to letter codes 0-3, for walking an encoded word.
 _CODES = bytes.maketrans(b"0123", bytes(range(4)))
@@ -51,16 +60,21 @@ class QuadGraph:
     moves the current point by one letter and reports whether the target
     was already visited.
 
-    The tree lives in flat arrays indexed by node id, so no Python object
-    is made per node.  Nodes are allocated four siblings at a time: node k
-    has slot k & 3 and father `_up[k >> 2]`, `_kids[k]` is the id of its
-    first child (0 if it has none), `_links[eps][k]` memoizes its
-    eps-neighbor when that is not a sibling (0 if unknown), and `_vis[k]`
-    marks it visited.  Group 0 holds the root's children; the root is node
-    0, the origin, its own father and its own 0-child.  Coordinates live
-    only in the tree path, whose slots spell their binary digits, and in
-    the word being walked.  Node ids are C ints; a tree of 2^31 nodes would
-    take about 47 GB, so memory runs out before the ids do.
+    The tree's nodes are 8x8 tiles of points: the node of tile (X, Y)
+    stands for the points (8X + i, 8Y + j), 0 <= i, j < 8.  The tree lives
+    in flat arrays indexed by node id, so no Python object is made per
+    node.  Nodes are allocated four siblings at a time: node k has slot
+    k & 3 and father `_up[k >> 2]`, `_kids[k]` is the id of its first child
+    (0 if it has none), and `_links[eps][k]` memoizes its eps-neighbor when
+    that is not a sibling (0 if unknown).  Group 0 holds the root's
+    children; the root is node 0, the origin's tile, its own father and its
+    own 0-child.  A tile gets its marks on its first visit: 64 bytes of
+    `_marks` from byte 64 * `_blk[k]`, point (8X + i, 8Y + j) at 8j + i.
+    `_blk[k]` is 0 while unset, and block 0 is the root's.  The walker
+    stands on node `_node` at mark `_pos`.  Coordinates live only in the
+    tree path, whose slots spell their binary digits, in the mark offsets
+    and in the word being walked.  Node and block ids are C ints; a tree of
+    2^31 nodes would take about 54 GB, so memory runs out before the ids do.
     """
 
     def __init__(self, start=(0, 0)):
@@ -70,13 +84,16 @@ class QuadGraph:
         self._up = _BLANK[: _START_NODES >> 2]
         self._kids = _BLANK[:]
         self._links = (_BLANK[:], _BLANK[:], _BLANK[:], _BLANK[:])
-        self._vis = bytearray(_START_NODES)
+        self._blk = _BLANK[:]
+        self._marks = bytearray(_NO_MARKS)  # block 0, the root tile's
         self._end = 4  # the next free node id: group 0 is taken
+        tx, ty = sx >> 3, sy >> 3
         seed = 0
-        for k in range(max(sx.bit_length(), sy.bit_length()) - 1, -1, -1):
-            seed = self._first_child(seed) + (sx >> k & 1) + 2 * (sy >> k & 1)
-        self._vis[seed] = 1
-        self._current = seed
+        for k in range(max(tx.bit_length(), ty.bit_length()) - 1, -1, -1):
+            seed = self._first_child(seed) + (tx >> k & 1) + 2 * (ty >> k & 1)
+        self._node = seed
+        self._pos = self._first_mark(seed) + 8 * (sy & 7) + (sx & 7)
+        self._marks[self._pos] = 1
 
     def _first_child(self, f):
         """Id of node f's 0-child, allocating f's four children if missing."""
@@ -84,16 +101,23 @@ class QuadGraph:
         if first or not f:  # the root's children are group 0
             return first
         first = self._end
-        if first == len(self._vis):  # double every array in place
+        if first == len(self._kids):  # double every array in place
             zeros = array("i", bytes(4 * first))
-            for a in (self._kids, *self._links):
+            for a in (self._kids, self._blk, *self._links):
                 a.extend(zeros)
             self._up.extend(zeros[: first >> 2])
-            self._vis.extend(bytes(first))
         self._end = first + 4
         self._up[first >> 2] = f
         self._kids[f] = first
         return first
+
+    def _first_mark(self, k):
+        """Offset of node k's marks in `_marks`, allocating them if missing."""
+        b = self._blk[k]
+        if not b and k:  # block 0 is the root's
+            b = self._blk[k] = len(self._marks) >> 6
+            self._marks.extend(_NO_MARKS)
+        return b << 6
 
     def _neighbor(self, k, eps):
         """The eps-neighbor of node k, when it is no sibling and not memoized.
@@ -133,43 +157,52 @@ class QuadGraph:
         """Walk letter codes 0-3; letters taken up to the first revisit.
 
         None if every target is new.  Trusts its input: callers validate.
-        A step that leaves its father reads the memo; on a miss the loop
+        A step inside a tile only moves the mark offset.  A step out of a
+        tile moves to a sibling tile or reads the memo; on a miss the loop
         takes the father's sibling or memoized neighbor, that node's child
         group, and links the two nodes both ways.  Only when the father's
         neighbor is itself unknown does it call `_neighbor`, which recurses
-        up the tree.  Node 0, the origin, is the root and its own father,
-        and its left and down neighbors are never linked, so a step off the
-        quadrant reaches `_neighbor` at the root and raises before anything
-        changes.
+        up the tree.  Node 0, the origin's tile, is the root and its own
+        father, and its left and down neighbors are never linked, so a step
+        off the quadrant reaches `_neighbor` at the root and raises before
+        anything changes.
         """
+        tile = _TILE
         move = _MOVE
         links = self._links
         up = self._up
         kids = self._kids
-        vis = self._vis
-        cur = self._current
+        blk = self._blk
+        marks = self._marks
+        cur = self._node
+        pos = self._pos
         for i, eps in enumerate(codes):
-            bit, keep = move[eps]
-            if cur & bit == keep:
-                cur ^= bit
+            mask, edge, delta, wrap = tile[eps]
+            if pos & mask != edge:
+                pos += delta
             else:
-                link = links[eps]
-                n = link[cur]
-                if not n:
-                    f = up[cur >> 2]
-                    if f & bit == keep:
-                        f ^= bit
-                    else:
-                        f = link[f] or self._neighbor(f, eps)
-                    n = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
-                    link[cur] = n
-                    links[eps ^ 2][n] = cur
-                cur = n
-            if vis[cur]:
-                self._current = cur
+                bit, keep = move[eps]
+                if cur & bit == keep:
+                    cur ^= bit
+                else:
+                    link = links[eps]
+                    n = link[cur]
+                    if not n:
+                        f = up[cur >> 2]
+                        if f & bit == keep:
+                            f ^= bit
+                        else:
+                            f = link[f] or self._neighbor(f, eps)
+                        n = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
+                        link[cur] = n
+                        links[eps ^ 2][n] = cur
+                    cur = n
+                pos = (blk[cur] << 6 or self._first_mark(cur)) + (pos & 63) + wrap
+            if marks[pos]:
+                self._node, self._pos = cur, pos
                 return i + 1
-            vis[cur] = 1
-        self._current = cur
+            marks[pos] = 1
+        self._node, self._pos = cur, pos
         return None
 
 

@@ -81,8 +81,26 @@ class TestRenderLimits:
         assert out.count("<circle") == 9 + 1  # the grid dots and the start marker
 
     def test_long_word_in_a_small_box_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(render, "MAX_DOTS", 4)
+        # the box holds 4 dots; the word's 4000 letters are within the limit
+        monkeypatch.setattr(render, "MAX_DOTS", 4000)
         assert run(capsys, "render", "0123" * 1000)[0] == 0
+
+    def test_word_over_letter_limit(self, capsys, monkeypatch):
+        # refused before the path is traced, though its box holds 4 dots
+        def no_trace(*args):
+            raise AssertionError("traced a word over the limit")
+
+        monkeypatch.setattr(render, "MAX_DOTS", 8)
+        monkeypatch.setattr(cli, "trace", no_trace)
+        rc, out, err = run(capsys, "render", "012301230")
+        assert (rc, out) == (2, "")
+        assert err == "error: render of a 9-letter word; the limit is 8 letters\n"
+
+    def test_word_at_letter_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(render, "MAX_DOTS", 8)
+        rc, out, err = run(capsys, "render", "01230123")
+        assert (rc, err) == (0, "")
+        assert out.count("<circle") == 4 + 1  # the grid dots and the start marker
 
 
 class TestChainFileEscape:

@@ -19,14 +19,16 @@ from helpers import STEP, first_intersection_oracle, revisit_flags
 
 
 # Read-only views of a QuadGraph's tree, through its flat arrays.  Nodes
-# come four siblings at a time: node k has slot k & 3, father
-# g._up[k >> 2] and first child g._kids[k] (0 for none, except at the root,
-# whose children are group 0).  Nodes hold no coordinates: each point is
-# spelled by the slots on its tree path.
+# are 8x8 tiles of points, and they come four siblings at a time: node k
+# has slot k & 3, father g._up[k >> 2] and first child g._kids[k] (0 for
+# none, except at the root, whose children are group 0).  Nodes hold no
+# coordinates: each tile (X, Y) is spelled by the slots on its tree path.
+# A visited tile's marks are the 64 bytes of g._marks from 64 * g._blk[k]
+# (block 0 is the root's), with point (8X + i, 8Y + j) at mark 8j + i.
 
 
 def _walk(g):
-    """Every node with its point, read off the slots from the root down."""
+    """Every node with its tile, read off the slots from the root down."""
     stack = [(0, 0, 0)]
     while stack:
         node, x, y = stack.pop()
@@ -38,8 +40,8 @@ def _walk(g):
                     stack.append((first + slot, 2 * x + (slot & 1), 2 * y + (slot >> 1)))
 
 
-def _point(g, node):
-    """A node's point, read off the slots on the climb to the root."""
+def _tile(g, node):
+    """A node's tile, read off the slots on the climb to the root."""
     x = y = k = 0
     while node != 0:
         slot = node & 3
@@ -54,16 +56,24 @@ def node_count(g):
     return sum(1 for _ in _walk(g))
 
 
-def points(g):
-    return frozenset(p for _, p in _walk(g))
+def tiles(g):
+    return frozenset(t for _, t in _walk(g))
 
 
 def visited_points(g):
-    return frozenset(p for n, p in _walk(g) if g._vis[n])
+    """Every marked point, read off the marks of the tiles that have them."""
+    seen = set()
+    for node, (x, y) in _walk(g):
+        if node == 0 or g._blk[node]:
+            first = 64 * g._blk[node]
+            for m, mark in enumerate(g._marks[first:first + 64]):
+                if mark:
+                    seen.add((8 * x + m % 8, 8 * y + m // 8))
+    return frozenset(seen)
 
 
-def _find(g, point):
-    x, y = point
+def _find(g, tile):
+    x, y = tile
     if x < 0 or y < 0:
         return None
     node = 0
@@ -75,27 +85,27 @@ def _find(g, point):
     return node
 
 
-def father(g, point):
-    """Father point of an existing node; None for the root or absent points."""
-    node = _find(g, point)
+def father(g, tile):
+    """Father tile of an existing node; None for the root or absent tiles."""
+    node = _find(g, tile)
     if node is None or node == 0:
         return None
-    return _point(g, g._up[node >> 2])
+    return _tile(g, g._up[node >> 2])
 
 
-def link(g, point, eps):
-    """Known eps-neighbor of an existing node, or None.
+def link(g, tile, eps):
+    """Known eps-neighbor tile of an existing node, or None.
 
     A sibling is always known; any other neighbor only once memoized.
     """
-    node = _find(g, point)
+    node = _find(g, tile)
     if node is None:
         return None
     bit, keep = _MOVE[eps]
     if node & bit == keep:
-        return _point(g, node ^ bit)
+        return _tile(g, node ^ bit)
     n = g._links[eps][node]
-    return None if n == 0 else _point(g, n)
+    return None if n == 0 else _tile(g, n)
 
 
 class TestFatherPoint:
@@ -142,14 +152,19 @@ class TestSiblingCondition:
                         assert g == (f[0] + dx, f[1] + dy)
 
 
+# The 0011 walk at tile scale: one tile per letter.
+_TILE_0011 = "0" * 16 + "1" * 16
+
+
 class TestGraphConstruction:
     def test_initial_graph(self):
         g = QuadGraph()
-        # group 0 alone: the root (0,0) is its own 0-child, beside (1,0),
-        # (0,1) and (1,1); its neighbors are siblings, known without a link
+        # group 0 alone: the root tile (0,0) is its own 0-child, beside the
+        # tiles (1,0), (0,1) and (1,1); its neighbors are siblings, known
+        # without a link
         assert node_count(g) == 4
         assert visited_points(g) == {(0, 0)}
-        assert points(g) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+        assert tiles(g) == {(0, 0), (1, 0), (0, 1), (1, 1)}
         assert link(g, (0, 0), 0) == (1, 0)
         assert link(g, (0, 0), 1) == (0, 1)
         assert link(g, (1, 0), 2) == (0, 0)
@@ -168,19 +183,28 @@ class TestGraphConstruction:
         g = QuadGraph()
         revisits = [g.step(int(c)) for c in "0011"]
         assert revisits == [False, False, False, False]
-        # Group 0 holds (0,0), (1,0), (0,1), (1,1).  Then:
-        #   0: (0,0) -> (1,0), a sibling: nothing new.
-        #   0: (1,0) -> (2,0), not a sibling: the father (0,0) steps to its
-        #      sibling (1,0), whose children (2,0), (3,0), (2,1), (3,1)
-        #      come as group 1.
-        #   1: (2,0) -> (2,1), a sibling in group 1: nothing new.
-        #   1: (2,1) -> (2,2), not a sibling: the father (1,0) steps to its
-        #      sibling (1,1), whose children (2,2), (3,2), (2,3), (3,3)
-        #      come as group 2.
-        # Three groups of four: 12 nodes.
-        assert node_count(g) == 12
         assert visited_points(g) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
-        assert points(g) == {
+        # every step stays inside the root tile: only its marks change
+        assert node_count(g) == 4
+        # The same walk at tile scale, each letter taken 8 times.  Group 0
+        # holds the tiles (0,0), (1,0), (0,1), (1,1).  Then:
+        #   0^8: tile (0,0) -> (1,0), a sibling: nothing new.
+        #   0^8: tile (1,0) -> (2,0), not a sibling: the father (0,0) steps
+        #        to its sibling (1,0), whose children (2,0), (3,0), (2,1),
+        #        (3,1) come as group 1.
+        #   1^8: tile (2,0) -> (2,1), a sibling in group 1: nothing new.
+        #   1^8: tile (2,1) -> (2,2), not a sibling: the father (1,0) steps
+        #        to its sibling (1,1), whose children (2,2), (3,2), (2,3),
+        #        (3,3) come as group 2.
+        # Three groups of four: 12 nodes.
+        g = QuadGraph()
+        revisits = [g.step(int(c)) for c in _TILE_0011]
+        assert not any(revisits)
+        assert node_count(g) == 12
+        assert visited_points(g) == (
+            {(x, 0) for x in range(17)} | {(16, y) for y in range(17)}
+        )
+        assert tiles(g) == {
             (0, 0), (1, 0), (0, 1), (1, 1),
             (2, 0), (3, 0), (2, 1), (3, 1),
             (2, 2), (3, 2), (2, 3), (3, 3),
@@ -193,7 +217,7 @@ class TestGraphConstruction:
 
     def test_fathers(self):
         g = QuadGraph()
-        for c in "0011":
+        for c in _TILE_0011:
             g.step(int(c))
         assert father(g, (0, 0)) is None  # the root is its own father
         assert father(g, (2, 2)) == (1, 1)
@@ -223,7 +247,7 @@ class TestGraphConstruction:
         g = QuadGraph()
         rng = random.Random(10)
         x = y = 0
-        for _ in range(500):
+        for _ in range(4000):
             choices = [e for e, (dx, dy) in enumerate(
                 ((1, 0), (0, 1), (-1, 0), (0, -1))
             ) if x + dx >= 0 and y + dy >= 0]
@@ -231,12 +255,15 @@ class TestGraphConstruction:
             g.step(e)
             dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[e]
             x, y = x + dx, y + dy
-        for p in list(points(g))[:200]:
+        linked = 0
+        for p in list(tiles(g))[:200]:
             for e, (dx, dy) in enumerate(((1, 0), (0, 1), (-1, 0), (0, -1))):
                 q = link(g, p, e)
                 if q is not None:
                     assert q == (p[0] + dx, p[1] + dy)
                     assert link(g, q, (e + 2) % 4) == p
+                    linked += 1
+        assert linked > 0
 
     def test_determinism(self):
         word = "001122010101332211" * 3
@@ -245,7 +272,7 @@ class TestGraphConstruction:
             g = QuadGraph((6, 6))
             for c in word:
                 g.step(int(c))
-            sets.append((node_count(g), points(g), visited_points(g)))
+            sets.append((node_count(g), tiles(g), visited_points(g)))
         assert sets[0] == sets[1]
 
 
@@ -352,16 +379,58 @@ class TestSeam:
         assert flags == revisit_flags(word)
 
 
+# Runs of one letter, each up to 12 long, so that walks cross tile edges in
+# every direction.
+tile_runs = st.lists(
+    st.tuples(st.sampled_from("0123"), st.integers(1, 12)), min_size=1, max_size=12
+)
+
+
+class TestTileEdges:
+    @given(st.integers(0, 2), st.integers(0, 2), tile_runs)
+    def test_every_offset_agrees_with_hash_set(self, tx, ty, runs):
+        # the same runs from each of the 64 offsets inside tile (tx, ty);
+        # a step that would leave the quadrant is dropped
+        for sx in range(8 * tx, 8 * tx + 8):
+            for sy in range(8 * ty, 8 * ty + 8):
+                x, y = sx, sy
+                word = []
+                for c, run in runs:
+                    dx, dy = STEP[c]
+                    for _ in range(run):
+                        if x + dx >= 0 and y + dy >= 0:
+                            x, y = x + dx, y + dy
+                            word.append(c)
+                word = "".join(word)
+                g = QuadGraph((sx, sy))
+                assert [g.step(int(c)) for c in word] == revisit_flags(word)
+
+    def test_steps_off_the_quadrant_from_the_root_tile(self):
+        # from each column of the root tile downward, from each row leftward
+        for k in range(8):
+            for start, off, away, back in (((k, 0), 3, 1, 3), ((0, k), 2, 0, 2)):
+                g = QuadGraph(start)
+                before = node_count(g), visited_points(g)
+                with pytest.raises(ValueError, match="out of quadrant"):
+                    g.step(off)
+                assert (node_count(g), visited_points(g)) == before
+                # the walker still stands on the start
+                assert g.step(away) is False
+                assert g.step(back) is True
+
+
 def test_peak_memory_per_letter():
-    # a random {0,1} word never revisits, so every letter adds a point
-    word = "".join(random.Random(16).choices("01", k=1 << 16))
-    tracemalloc.start()
-    try:
-        detect_first_intersection(word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 160 * len(word)
+    # a random {0,1} word never revisits, so every letter adds a point; a
+    # straight run touches a new tile every 8 letters, the most tiles per
+    # letter a walk can need
+    for word in ("".join(random.Random(16).choices("01", k=1 << 16)), "0" * (1 << 16)):
+        tracemalloc.start()
+        try:
+            detect_first_intersection(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * len(word)
 
 
 def test_walk_makes_no_tracked_object_per_node():
