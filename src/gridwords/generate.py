@@ -2,31 +2,26 @@
 
 Cells are added one at a time on the perimeter, each addition keeping the
 set 4-connected and hole-free, so the boundary stays a simple closed
-curve by construction.
+curve by construction.  Cells are integer keys x + y*w (see polyomino)
+with w = 2*cells + 3 and the first cell at (cells + 1, cells + 1): no
+grown cell lies farther than cells - 1 from the first, so no neighbour
+key wraps into another row.  A candidate is addable when
+the occupied cells of its 8-neighbourhood form one contiguous arc that
+includes an edge neighbour: then adding it neither pinches off a hole
+nor touches the shape only diagonally.  `_ADDABLE` holds that verdict
+for each of the 256 occupancy bytes of the ring (1,0), (1,1), (0,1),
+(-1,1), (-1,0), (-1,-1), (0,-1), (1,-1), bit 0 first.
 """
 
 import random
 
-from .polyomino import boundary_word
+from .polyomino import _boundary
 
-# 8-neighborhood in cyclic order, for the single-arc test below.
-_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
-def _addable(cells, x, y):
-    # Occupied neighbors must form one contiguous arc of the ring and
-    # include an edge neighbor; then adding (x,y) neither pinches off a
-    # hole nor touches the shape only diagonally.
-    ring = [(x + dx, y + dy) in cells for dx, dy in _RING]
-    if not (ring[0] or ring[2] or ring[4] or ring[6]):
-        return False
-    changes = 0
-    prev = ring[7]
-    for cur in ring:
-        if cur != prev:
-            changes += 1
-            prev = cur
-    return changes == 2
+# An edge neighbour (bits 0, 2, 4, 6) and exactly two changes round the ring.
+_ADDABLE = bytes(
+    m & 0x55 != 0 and bin(m ^ (m << 1 | m >> 7) & 255).count("1") == 2
+    for m in range(256)
+)
 
 
 def gen_random_polyomino(cells, seed=None):
@@ -38,8 +33,19 @@ def gen_random_polyomino(cells, seed=None):
     if cells < 1:
         raise ValueError("need at least one cell")
     rng = random.Random(seed)
-    grown = {(0, 0)}
-    frontier = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    w = 2 * cells + 3
+    c = (cells + 1) * (w + 1)
+    grown = {c}
+    frontier = [c + 1, c + w, c - 1, c - w]
+
+    def addable(c):
+        return _ADDABLE[
+            (c + 1 in grown) | (c + 1 + w in grown) << 1
+            | (c + w in grown) << 2 | (c - 1 + w in grown) << 3
+            | (c - 1 in grown) << 4 | (c - 1 - w in grown) << 5
+            | (c - w in grown) << 6 | (c + 1 - w in grown) << 7
+        ]
+
     misses = 0
     while len(grown) < cells:
         i = rng.randrange(len(frontier))
@@ -48,7 +54,7 @@ def gen_random_polyomino(cells, seed=None):
             frontier[i] = frontier[-1]
             frontier.pop()
             continue
-        if not _addable(grown, *c):
+        if not addable(c):
             misses += 1
             if misses <= 64:
                 continue
@@ -56,7 +62,7 @@ def gen_random_polyomino(cells, seed=None):
             # addable candidate, which always exists (e.g. beside the top
             # of the rightmost column).
             for i, c in enumerate(frontier):
-                if c not in grown and _addable(grown, *c):
+                if c not in grown and addable(c):
                     break
             else:
                 raise RuntimeError("no addable perimeter cell")
@@ -64,8 +70,7 @@ def gen_random_polyomino(cells, seed=None):
         frontier[i] = frontier[-1]
         frontier.pop()
         grown.add(c)
-        x, y = c
-        for m in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
+        for m in (c + 1, c + w, c - 1, c - w):
             if m not in grown:
                 frontier.append(m)
-    return boundary_word(grown)[0]
+    return _boundary(grown, w)[0]

@@ -1,53 +1,72 @@
 """Conversion between boundary words and the cell sets they enclose.
 
-Cells are unit grid squares named by their lower-left corners.
+Cells are unit grid squares named by their lower-left corners.  Inside
+this module and the generator a cell (x, y) is the integer key x + y*w,
+where the row stride w is wider than the shape, so a neighbour is one
+addition and keys sort bottom row first, then left to right.  A vertex
+shares the key of the cell whose lower-left corner it is.
 """
 
-from collections import defaultdict
+from itertools import accumulate, compress
 
-from .chain import STEPS, is_closed
+from .chain import is_closed
 
 
-def enclosed_cells(word, start=(0, 0)):
-    """Set of cells enclosed by a closed path (even-odd rule).
+def _fill(word, start, w):
+    """Keys of the cells a closed path from key start encloses (even-odd rule).
 
-    Scanline over the path's vertical edges: within each cell row, cells
-    between an odd and the following even crossing are inside.
+    Scanline over the path's vertical edges: sorted, the crossings come
+    row by row, and cells between an odd and the following even crossing
+    are inside.
     """
-    if not is_closed(word):
-        raise ValueError("closed word required")
-    x, y = start
-    rows = defaultdict(list)
-    for ch in word:
-        if ch == "1":
-            rows[y].append(x)
-            y += 1
-        elif ch == "3":
-            y -= 1
-            rows[y].append(x)
-        elif ch == "0":
-            x += 1
-        else:
-            x -= 1
+    step = {"0": 1, "1": w, "2": -1, "3": -w}
+    at = list(accumulate(map(step.get, word), initial=start))
+    # an up edge crosses the row of the vertex it leaves, a down edge the
+    # row of the vertex it reaches
+    up, down = map("1".__eq__, word), map("3".__eq__, word)
+    cross = sorted([*compress(at, up), *compress(at[1:], down)])
     cells = set()
-    for row, xs in rows.items():
-        xs.sort()
-        it = iter(xs)
-        for a, b in zip(it, it):
-            for cx in range(a, b):
-                cells.add((cx, row))
+    for a, b in zip(cross[::2], cross[1::2]):
+        cells.update(range(a, b))
     return cells
 
 
-# Cells on either side of the unit edge leaving (x,y) in direction d.
-def _side_cells(x, y, d):
-    if d == 0:
-        return (x, y), (x, y - 1)
-    if d == 1:
-        return (x - 1, y), (x, y)
-    if d == 2:
-        return (x - 1, y - 1), (x - 1, y)
-    return (x, y - 1), (x - 1, y - 1)
+def _boundary(keys, w):
+    """Counterclockwise contour of a key set, as (word, start key).
+
+    Starts at the least key, the bottommost then leftmost cell; raises
+    ValueError unless refilling the contour gives the keys back.
+    """
+    start = k = min(keys)
+    sides = ((0, -w), (-1, 0), (-1 - w, -1), (-w, -1 - w))  # (left, right) cells
+    steps = (1, w, -1, -w)
+    d = 0
+    out = []
+    while True:
+        left, right = sides[d]
+        if k + left not in keys:  # interior must stay on the left: overturned
+            d = (d + 1) & 3
+        elif k + right in keys:  # interior on both sides: reentrant corner
+            d = (d - 1) & 3
+        else:
+            out.append("0123"[d])
+            k += steps[d]
+            if k == start:
+                break
+    word = "".join(out)
+    if _fill(word, start, w) != keys:
+        raise ValueError("cells are not a simply connected polyomino")
+    return word, start
+
+
+def enclosed_cells(word, start=(0, 0)):
+    """Set of cells enclosed by a closed path (even-odd rule)."""
+    if not is_closed(word):
+        raise ValueError("closed word required")
+    h = len(word) // 2 + 1  # no vertex lies farther than h from the start
+    w = 2 * h + 1
+    dx, dy = start[0] - h, start[1] - h
+    return {(k % w + dx, k // w + dy) for k in _fill(word, h * (w + 1), w)}
 
 
 def boundary_word(cells):
@@ -60,24 +79,10 @@ def boundary_word(cells):
     if not cells:
         raise ValueError("empty cell set")
     cells = set(cells)
-    sx, sy = min(cells, key=lambda c: (c[1], c[0]))
-    x, y, d = sx, sy, 0
-    out = []
-    while True:
-        left, right = _side_cells(x, y, d)
-        if left not in cells:  # interior must stay on the left: overturned
-            d = (d + 1) & 3
-            continue
-        if right in cells:  # interior on both sides: reentrant corner
-            d = (d - 1) & 3
-            continue
-        out.append("0123"[d])
-        dx, dy = STEPS[d]
-        x += dx
-        y += dy
-        if x == sx and y == sy:
-            break
-    word = "".join(out)
-    if enclosed_cells(word, (sx, sy)) != cells:
-        raise ValueError("cells are not a simply connected polyomino")
-    return word, (sx, sy)
+    # keys with a one-cell margin all round, so no neighbour wraps a row
+    x0 = min(x for x, _ in cells) - 1
+    y0 = min(y for _, y in cells) - 1
+    w = max(x for x, _ in cells) - x0 + 2
+    word, start = _boundary({x - x0 + (y - y0) * w for x, y in cells}, w)
+    y, x = divmod(start, w)
+    return word, (x + x0, y + y0)

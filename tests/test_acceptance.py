@@ -65,7 +65,7 @@ def test_criterion_2_generated_boundary_invariants(capsys):
     t0 = time.perf_counter()
     failures = 0
     for k in range(10_000):
-        word = str(gen_random_polyomino(k % 200 + 1, seed=k))
+        word = gen_random_polyomino(k % 200 + 1, seed=k)
         ccw = orient_ccw(word)
         if turning_number(ccw, circular=True).quarter_turns != 4:
             failures += 1
@@ -103,17 +103,19 @@ def _serpentine(n):
     return (row * (n // 2000 + 1))[:n]
 
 
-def _timed_detect(word, runs=3):
-    best = None
+def _timed_detect(words, runs=3):
+    """Best of `runs` GC-off timings per word, the words timed in turn each
+    round, so that a change in host speed falls on all of them alike."""
+    times = [[] for _ in words]
     for _ in range(runs):
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        detect_first_intersection(word)
-        dt = time.perf_counter() - t0
-        gc.enable()
-        best = dt if best is None else min(best, dt)
-    return best
+        for word, ts in zip(words, times):
+            gc.collect()
+            gc.disable()
+            t0 = time.perf_counter()
+            detect_first_intersection(word)
+            ts.append(time.perf_counter() - t0)
+            gc.enable()
+    return [min(ts) for ts in times]
 
 
 def test_criterion_4_intersection_oracle_and_scaling(capsys):
@@ -127,8 +129,7 @@ def test_criterion_4_intersection_oracle_and_scaling(capsys):
         w = "".join(rng.choices("0123", k=1000))
         if detect_first_intersection(w) != first_intersection_oracle(w):
             mismatches += 1
-    t1 = _timed_detect(_serpentine(1_000_000))
-    t2 = _timed_detect(_serpentine(2_000_000))
+    t1, t2 = _timed_detect([_serpentine(1_000_000), _serpentine(2_000_000)])
     _verdict(
         capsys,
         4,
@@ -145,7 +146,7 @@ def test_criterion_5_convexity_routes_agree(capsys):
             if is_digitally_convex(w) != convexity_oracle(w):
                 mismatches += 1
     for k in range(10_000):
-        w = str(gen_random_polyomino(k % 60 + 1, seed=100_000 + k))
+        w = gen_random_polyomino(k % 60 + 1, seed=100_000 + k)
         if is_digitally_convex(w) != convexity_oracle(w):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,9 @@
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
+import gridwords.generate
 from gridwords import (
     canonical_rotation,
     enclosed_cells,
@@ -50,3 +54,62 @@ class TestInvariants:
             assert len(enclosed_cells(w)) == cells
             assert len(w) % 2 == 0
             assert len(w) <= 2 * cells + 2
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestFrozenOutput:
+    """Generated words frozen by SHA-256 digest, so that any change to the
+    growth order or the contour trace shows."""
+
+    def test_sweep(self):
+        words = (
+            gen_random_polyomino(c, s) for c in range(1, 401) for s in (0, 1, 7, 31 * c)
+        )
+        assert _sha256("\n".join(words)) == (
+            "99e9d982121f47a550bb3bc32e2284a6f6ef2ec48f663ba808403c12d63d4cce"
+        )
+
+    @pytest.mark.parametrize(
+        "cells, digest",
+        [
+            (1_000, "0cca0cd7f6ba87df12e64a3ffbabb870cea8302806e81cf2d886babbb2e392f4"),
+            (3_000, "5bef3e26726fed39c74e89cc2dbeac29507121cb9c70de78007b3ff32549a808"),
+            (10_000, "6fe7e19e19501e2c0de42919a48b9155238d9d0a2b3131b44ef6b7751f6e1119"),
+        ],
+    )
+    def test_large(self, cells, digest):
+        assert _sha256(gen_random_polyomino(cells, seed=cells)) == digest
+
+
+class _StallingRandom:
+    """Grows the U {(0,0), (1,0), (2,0), (0,1), (2,1), (0,2), (2,2)}, then
+    keeps picking frontier index 11, first the cell (1,2) that would close
+    the U into a hole."""
+
+    def __init__(self, seed=None):
+        self.calls = []
+
+    def randrange(self, n):
+        script = (0, 3, 1, 6, 8, 10)
+        k = script[len(self.calls)] if len(self.calls) < len(script) else 11
+        self.calls.append(n)
+        return min(k, n - 1)
+
+
+def test_stall_falls_back_to_first_addable_cell(monkeypatch):
+    stubs = []
+
+    def make(seed=None):
+        stubs.append(_StallingRandom(seed))
+        return stubs[-1]
+
+    monkeypatch.setattr(gridwords.generate, "random", SimpleNamespace(Random=make))
+    word = gen_random_polyomino(12, seed=0)
+    # six picks grow the U; each of the five later cells comes from the
+    # fallback after 65 misses in a row
+    assert len(stubs[0].calls) == 6 + 5 * 65
+    assert word == "01110330111112332112333333"
+    assert len(enclosed_cells(word)) == 12 and is_simple(word)

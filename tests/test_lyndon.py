@@ -76,16 +76,16 @@ class TestFactorize:
         rng = random.Random(22)
         base = "".join(rng.choice("01") for _ in range(1_000_000))
 
-        def best_of(word, runs=3):
-            times = []
-            for _ in range(runs):
+        # best of 3 each, the two words timed in turn so that a change in
+        # host speed falls on both alike
+        words = (base, base + base[::-1])
+        times = ([], [])
+        for _ in range(3):
+            for word, ts in zip(words, times):
                 t0 = time.perf_counter()
                 lyndon_factorize(word)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t1 = best_of(base)
-        t2 = best_of(base + base[::-1])
+                ts.append(time.perf_counter() - t0)
+        t1, t2 = map(min, times)
         assert t2 <= 2.5 * max(t1, 1e-4), (t1, t2)
 
 

@@ -79,6 +79,48 @@ class TestBoundaryWord:
             boundary_word(set())
 
 
+FAR = 10**12
+# a hole-free pentomino whose contour turns both ways
+PENTOMINO = {(0, 0), (1, 0), (1, 1), (2, 1), (1, 2)}
+
+
+def _shifted(cells, dx, dy):
+    return {(x + dx, y + dy) for x, y in cells}
+
+
+def _containers(cells):
+    """The same cells as a set, a list with duplicates, a frozenset and a
+    one-shot iterator."""
+    listed = sorted(cells)
+    return [set(cells), listed + listed[::2], frozenset(cells), iter(listed)]
+
+
+class TestFarCells:
+    @pytest.mark.parametrize("dx, dy", [(FAR, -FAR), (-FAR, FAR), (0, 0)])
+    def test_boundary_word_translates(self, dx, dy):
+        for cells in _containers(_shifted(PENTOMINO, dx, dy)):
+            assert boundary_word(cells) == ("001012123323", (dx, dy))
+
+    @pytest.mark.parametrize("dx, dy", [(FAR, -FAR), (-FAR, FAR)])
+    def test_enclosed_cells_translates(self, dx, dy):
+        assert enclosed_cells("001012123323", start=(dx, dy)) == _shifted(
+            PENTOMINO, dx, dy
+        )
+        assert enclosed_cells("00121233", start=(dx, dy)) == {
+            (dx, dy), (dx + 1, dy), (dx, dy + 1)
+        }
+
+    @pytest.mark.parametrize("dx, dy", [(FAR, -FAR), (-FAR, FAR)])
+    def test_rejects_bad_cell_sets(self, dx, dy):
+        ring = {(x, y) for x in range(3) for y in range(3) if (x, y) != (1, 1)}
+        for cells in ({(0, 0), (2, 0)}, {(0, 0), (1, 1)}, {(1, 0), (0, 1)}, ring):
+            for given in _containers(_shifted(cells, dx, dy)):
+                with pytest.raises(
+                    ValueError, match="^cells are not a simply connected polyomino$"
+                ):
+                    boundary_word(given)
+
+
 class TestCornerCounts:
     def test_against_cell_oracle(self):
         from gridwords import salient_reentrant
