@@ -173,16 +173,20 @@ def path_facts(word):
     a revisit is closed and longer than 2 (`simple_from_revisit`), so it
     has no cancelling pair, even across the seam: T and (S, R) need no
     `reduce`, and one count of its turning bigrams, seam included, gives
-    both.
+    both.  A word with no revisit has no cancelling pair either, and never
+    returns to its start unless it is empty, so T is the count of its
+    turning bigrams.
     """
     hit = detect_first_intersection(word)
-    simple = simple_from_revisit(word, hit)
-    if simple and hit is not None:  # closed, simple and longer than 2
+    if hit is None:
+        left, right = _turns(word, False)
+        return not word, True, TurningNumber(left - right), None
+    if simple_from_revisit(word, hit):  # closed, simple and longer than 2
         left, right = _turns(word, True)
         corners = max(left, right), min(left, right)
         return True, True, TurningNumber(left - right), corners
     closed = is_closed(word)
-    return closed, simple, turning_number(word, circular=closed), None
+    return closed, False, turning_number(word, circular=closed), None
 
 
 def orient_ccw(word):

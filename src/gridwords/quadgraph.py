@@ -1,13 +1,15 @@
 """Radix quadtree over first-quadrant lattice points with lazy neighbor links.
 
 Supports walking a chain-code path one unit step at a time while detecting
-the first revisited grid point.  The tree's nodes are 8x8 tiles of points
-with a byte of visited mark per point, so a step inside a tile only moves
-an offset.  Navigation never hashes coordinates: a step out of a tile
+the first revisited grid point.  The tree's nodes are 16x16 tiles of
+points with a byte of visited mark per point, so a step inside a tile only
+moves an offset.  Navigation never hashes coordinates: a step out of a tile
 either moves to a sibling tile under the same father, follows a memoized
 neighbor link, or reconstructs the neighbor as a child of the father's
 neighbor.  The walker does all of this in its own loop; it calls the
 recursive `_neighbor` only when the father's neighbor is not known either.
+A straight run that enters a tile and crosses it whole tests and sets the
+tile's line of marks with one slice each.
 
 Nodes store no coordinates.  A tile's binary digits are the slots on the
 tree path from the root down to its node, a point's place in its tile is
@@ -21,11 +23,28 @@ from array import array
 # which the neighbor keeps the father.  A node's slot is x%2 + 2*(y%2).
 _MOVE = ((1, 0), (2, 0), (1, 1), (2, 2))
 
-# Per letter, for marks indexed 8*(y%8) + x%8: the mask of the coordinate
-# the step changes, its value on the tile edge the step leaves by, the
-# offset to the target inside the tile, and the offset to it across the edge.
-_TILE = ((7, 7, 1, -7), (56, 56, 8, -56), (7, 0, -1, 7), (56, 0, -8, 56))
-_NO_MARKS = bytes(64)  # a new tile's marks
+# Points per tile side, a power of 2.  A tile's marks are a block of
+# 2**_BLOCK bytes, the mark of point (x, y) at _SIDE*(y%_SIDE) + x%_SIDE.
+_SIDE = 16
+_SHIFT = _SIDE.bit_length() - 1  # point (x, y) lies in tile (x, y) >> _SHIFT
+_BLOCK = 2 * _SHIFT
+_LAST = _SIDE - 1
+
+# Per letter: the mask of the coordinate the step changes in a mark offset,
+# its value on the tile edge the step leaves by, the offset to the target
+# inside the tile, and the offset to it across the edge.
+_TILE = (
+    (_LAST, _LAST, 1, -_LAST),
+    (_SIDE * _LAST, _SIDE * _LAST, _SIDE, -_SIDE * _LAST),
+    (_LAST, 0, -1, _LAST),
+    (_SIDE * _LAST, 0, -_SIDE, _SIDE * _LAST),
+)
+# Per letter: the codes of a run that crosses a tile whole, and the stride
+# between the marks of a line along the letter.
+_LINE = tuple((bytes((eps,)) * _SIDE, (1, _SIDE)[eps & 1]) for eps in range(4))
+_CLEAR_LINE = bytes(_SIDE)
+_FULL_LINE = b"\x01" * _SIDE
+_NO_MARKS = bytes(1 << _BLOCK)  # a new tile's marks
 
 # Chain letters to letter codes 0-3, for walking an encoded word.
 _CODES = bytes.maketrans(b"0123", bytes(range(4)))
@@ -60,21 +79,23 @@ class QuadGraph:
     moves the current point by one letter and reports whether the target
     was already visited.
 
-    The tree's nodes are 8x8 tiles of points: the node of tile (X, Y)
-    stands for the points (8X + i, 8Y + j), 0 <= i, j < 8.  The tree lives
-    in flat arrays indexed by node id, so no Python object is made per
+    The tree's nodes are 16x16 tiles of points: the node of tile (X, Y)
+    stands for the points (16X + i, 16Y + j), 0 <= i, j < 16.  The tree
+    lives in flat arrays indexed by node id, so no Python object is made per
     node.  Nodes are allocated four siblings at a time: node k has slot
     k & 3 and father `_up[k >> 2]`, `_kids[k]` is the id of its first child
     (0 if it has none), and `_links[eps][k]` memoizes its eps-neighbor when
     that is not a sibling (0 if unknown).  Group 0 holds the root's
     children; the root is node 0, the origin's tile, its own father and its
-    own 0-child.  A tile gets its marks on its first visit: 64 bytes of
-    `_marks` from byte 64 * `_blk[k]`, point (8X + i, 8Y + j) at 8j + i.
-    `_blk[k]` is 0 while unset, and block 0 is the root's.  The walker
-    stands on node `_node` at mark `_pos`.  Coordinates live only in the
-    tree path, whose slots spell their binary digits, in the mark offsets
-    and in the word being walked.  Node and block ids are C ints; a tree of
-    2^31 nodes would take about 54 GB, so memory runs out before the ids do.
+    own 0-child.  A tile gets its marks on its first visit: 256 bytes of
+    `_marks` from byte 256 * `_blk[k]`, point (16X + i, 16Y + j) at
+    16j + i.  `_blk[k]` is 0 while unset, and block 0 is the root's.  The
+    walker stands on node `_node` at mark `_pos`.  Coordinates live only in
+    the tree path, whose slots spell their binary digits, in the mark
+    offsets and in the word being walked.  Node and block ids are C ints; a
+    tree of 2^31 nodes would take about 54 GB in its id arrays alone, and
+    each of its visited tiles 256 bytes more, so memory runs out before the
+    ids do.
     """
 
     def __init__(self, start=(0, 0)):
@@ -87,12 +108,12 @@ class QuadGraph:
         self._blk = _BLANK[:]
         self._marks = bytearray(_NO_MARKS)  # block 0, the root tile's
         self._end = 4  # the next free node id: group 0 is taken
-        tx, ty = sx >> 3, sy >> 3
+        tx, ty = sx >> _SHIFT, sy >> _SHIFT
         seed = 0
         for k in range(max(tx.bit_length(), ty.bit_length()) - 1, -1, -1):
             seed = self._first_child(seed) + (tx >> k & 1) + 2 * (ty >> k & 1)
         self._node = seed
-        self._pos = self._first_mark(seed) + 8 * (sy & 7) + (sx & 7)
+        self._pos = self._first_mark(seed) + _SIDE * (sy & _LAST) + (sx & _LAST)
         self._marks[self._pos] = 1
 
     def _first_child(self, f):
@@ -115,9 +136,9 @@ class QuadGraph:
         """Offset of node k's marks in `_marks`, allocating them if missing."""
         b = self._blk[k]
         if not b and k:  # block 0 is the root's
-            b = self._blk[k] = len(self._marks) >> 6
+            b = self._blk[k] = len(self._marks) >> _BLOCK
             self._marks.extend(_NO_MARKS)
-        return b << 6
+        return b << _BLOCK
 
     def _neighbor(self, k, eps):
         """The eps-neighbor of node k, when it is no sibling and not memoized.
@@ -151,10 +172,11 @@ class QuadGraph:
         """
         if not 0 <= eps <= 3:
             raise ValueError(f"letter out of range: {eps!r}")
-        return self._first_revisit((eps,)) is not None
+        return self._first_revisit(bytes((eps,))) is not None
 
     def _first_revisit(self, codes):
-        """Walk letter codes 0-3; letters taken up to the first revisit.
+        """Walk `bytes` of letter codes 0-3; letters taken up to the first
+        revisit.
 
         None if every target is new.  Trusts its input: callers validate.
         A step inside a tile only moves the mark offset.  A step out of a
@@ -166,17 +188,33 @@ class QuadGraph:
         father, and its left and down neighbors are never linked, so a step
         off the quadrant reaches `_neighbor` at the root and raises before
         anything changes.
+
+        A step into a tile whose letter begins a run of `_SIDE` equal
+        letters walks the tile's whole line along that letter.  When that line holds no
+        mark, one slice sets it and the walk goes on from its far end;
+        otherwise the run is walked letter by letter, so the index returned
+        and the marks left are those of the plain walk.
         """
         tile = _TILE
         move = _MOVE
+        line = _LINE
+        clear, full, side = _CLEAR_LINE, _FULL_LINE, _SIDE
+        block, offset = _BLOCK, (1 << _BLOCK) - 1
         links = self._links
         up = self._up
         kids = self._kids
         blk = self._blk
         marks = self._marks
+        runs_from = codes.startswith
         cur = self._node
         pos = self._pos
-        for i, eps in enumerate(codes):
+        # A bytes iterator tells how many letters it has left and can be
+        # moved on, so the loop needs no index of its own.
+        n = len(codes)
+        letters = iter(codes)
+        left = letters.__length_hint__
+        seek = letters.__setstate__
+        for eps in letters:
             mask, edge, delta, wrap = tile[eps]
             if pos & mask != edge:
                 pos += delta
@@ -186,21 +224,32 @@ class QuadGraph:
                     cur ^= bit
                 else:
                     link = links[eps]
-                    n = link[cur]
-                    if not n:
+                    k = link[cur]
+                    if not k:
                         f = up[cur >> 2]
                         if f & bit == keep:
                             f ^= bit
                         else:
                             f = link[f] or self._neighbor(f, eps)
-                        n = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
-                        link[cur] = n
-                        links[eps ^ 2][n] = cur
-                    cur = n
-                pos = (blk[cur] << 6 or self._first_mark(cur)) + (pos & 63) + wrap
+                        k = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
+                        link[cur] = k
+                        links[eps ^ 2][k] = cur
+                    cur = k
+                base = blk[cur] << block or self._first_mark(cur)
+                pos = base + (pos & offset) + wrap
+                run, stride = line[eps]
+                i = n - left() - 1  # the index of this letter
+                if runs_from(run, i):
+                    first = pos & ~mask
+                    stop = first + side * stride
+                    if marks[first:stop:stride] == clear:
+                        marks[first:stop:stride] = full
+                        pos ^= mask  # the line's far end
+                        seek(i + side)
+                        continue
             if marks[pos]:
                 self._node, self._pos = cur, pos
-                return i + 1
+                return n - left()
             marks[pos] = 1
         self._node, self._pos = cur, pos
         return None
@@ -234,9 +283,13 @@ def detect_first_intersection(word):
     final return to its start counts as a revisit; callers that allow
     closure must check the index themselves.  Points are reported in the
     original frame (path started at (0,0)), read off the letter counts of
-    the prefix walked.
+    the prefix walked.  The walk starts at (number of 2s, number of 3s),
+    which no prefix can take out of the first quadrant.
     """
-    i = QuadGraph(normalize(word))._first_revisit(word.encode().translate(_CODES))
+    start = word.count("2"), word.count("3")
+    if word.count("0") + word.count("1") + sum(start) != len(word):
+        raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
+    i = QuadGraph(start)._first_revisit(word.encode().translate(_CODES))
     if i is None:
         return None
     head = word[:i]

@@ -12,19 +12,22 @@ from gridwords import (
     detect_first_intersection,
     father_point,
     normalize,
+    rotate,
     sibling_condition,
 )
-from gridwords.quadgraph import _MOVE
+from gridwords.quadgraph import _CODES, _MOVE, _SIDE
 from helpers import STEP, first_intersection_oracle, revisit_flags
 
 
 # Read-only views of a QuadGraph's tree, through its flat arrays.  Nodes
-# are 8x8 tiles of points, and they come four siblings at a time: node k
-# has slot k & 3, father g._up[k >> 2] and first child g._kids[k] (0 for
-# none, except at the root, whose children are group 0).  Nodes hold no
-# coordinates: each tile (X, Y) is spelled by the slots on its tree path.
-# A visited tile's marks are the 64 bytes of g._marks from 64 * g._blk[k]
-# (block 0 is the root's), with point (8X + i, 8Y + j) at mark 8j + i.
+# are S x S tiles of points, S = _SIDE, and they come four siblings at a
+# time: node k has slot k & 3, father g._up[k >> 2] and first child
+# g._kids[k] (0 for none, except at the root, whose children are group 0).
+# Nodes hold no coordinates: each tile (X, Y) is spelled by the slots on
+# its tree path.  A visited tile's marks are the S*S bytes of g._marks from
+# S*S * g._blk[k] (block 0 is the root's), with point (S*X + i, S*Y + j) at
+# mark S*j + i.
+_AREA = _SIDE * _SIDE
 
 
 def _walk(g):
@@ -65,10 +68,10 @@ def visited_points(g):
     seen = set()
     for node, (x, y) in _walk(g):
         if node == 0 or g._blk[node]:
-            first = 64 * g._blk[node]
-            for m, mark in enumerate(g._marks[first:first + 64]):
+            first = _AREA * g._blk[node]
+            for m, mark in enumerate(g._marks[first:first + _AREA]):
                 if mark:
-                    seen.add((8 * x + m % 8, 8 * y + m // 8))
+                    seen.add((_SIDE * x + m % _SIDE, _SIDE * y + m // _SIDE))
     return frozenset(seen)
 
 
@@ -153,7 +156,7 @@ class TestSiblingCondition:
 
 
 # The 0011 walk at tile scale: one tile per letter.
-_TILE_0011 = "0" * 16 + "1" * 16
+_TILE_0011 = "0" * (2 * _SIDE) + "1" * (2 * _SIDE)
 
 
 class TestGraphConstruction:
@@ -186,14 +189,14 @@ class TestGraphConstruction:
         assert visited_points(g) == {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}
         # every step stays inside the root tile: only its marks change
         assert node_count(g) == 4
-        # The same walk at tile scale, each letter taken 8 times.  Group 0
-        # holds the tiles (0,0), (1,0), (0,1), (1,1).  Then:
-        #   0^8: tile (0,0) -> (1,0), a sibling: nothing new.
-        #   0^8: tile (1,0) -> (2,0), not a sibling: the father (0,0) steps
+        # The same walk at tile scale, each letter taken S = _SIDE times.
+        # Group 0 holds the tiles (0,0), (1,0), (0,1), (1,1).  Then:
+        #   0^S: tile (0,0) -> (1,0), a sibling: nothing new.
+        #   0^S: tile (1,0) -> (2,0), not a sibling: the father (0,0) steps
         #        to its sibling (1,0), whose children (2,0), (3,0), (2,1),
         #        (3,1) come as group 1.
-        #   1^8: tile (2,0) -> (2,1), a sibling in group 1: nothing new.
-        #   1^8: tile (2,1) -> (2,2), not a sibling: the father (1,0) steps
+        #   1^S: tile (2,0) -> (2,1), a sibling in group 1: nothing new.
+        #   1^S: tile (2,1) -> (2,2), not a sibling: the father (1,0) steps
         #        to its sibling (1,1), whose children (2,2), (3,2), (2,3),
         #        (3,3) come as group 2.
         # Three groups of four: 12 nodes.
@@ -202,7 +205,8 @@ class TestGraphConstruction:
         assert not any(revisits)
         assert node_count(g) == 12
         assert visited_points(g) == (
-            {(x, 0) for x in range(17)} | {(16, y) for y in range(17)}
+            {(x, 0) for x in range(2 * _SIDE + 1)}
+            | {(2 * _SIDE, y) for y in range(2 * _SIDE + 1)}
         )
         assert tiles(g) == {
             (0, 0), (1, 0), (0, 1), (1, 1),
@@ -389,10 +393,10 @@ tile_runs = st.lists(
 class TestTileEdges:
     @given(st.integers(0, 2), st.integers(0, 2), tile_runs)
     def test_every_offset_agrees_with_hash_set(self, tx, ty, runs):
-        # the same runs from each of the 64 offsets inside tile (tx, ty);
+        # the same runs from each of the _AREA offsets inside tile (tx, ty);
         # a step that would leave the quadrant is dropped
-        for sx in range(8 * tx, 8 * tx + 8):
-            for sy in range(8 * ty, 8 * ty + 8):
+        for sx in range(_SIDE * tx, _SIDE * tx + _SIDE):
+            for sy in range(_SIDE * ty, _SIDE * ty + _SIDE):
                 x, y = sx, sy
                 word = []
                 for c, run in runs:
@@ -407,7 +411,7 @@ class TestTileEdges:
 
     def test_steps_off_the_quadrant_from_the_root_tile(self):
         # from each column of the root tile downward, from each row leftward
-        for k in range(8):
+        for k in range(_SIDE):
             for start, off, away, back in (((k, 0), 3, 1, 3), ((0, k), 2, 0, 2)):
                 g = QuadGraph(start)
                 before = node_count(g), visited_points(g)
@@ -419,10 +423,106 @@ class TestTileEdges:
                 assert g.step(back) is True
 
 
+# Straight runs into tile (4, 4), the points [4S, 5S) x [4S, 5S) with S =
+# _SIDE, from each of its four edges: a word written for a run along 0 from
+# the left is turned a quarter turn at a time about the tile's centre.  The
+# tile lies far enough from the axes for every turned word to stay in the
+# quadrant.
+_LOW = 4 * _SIDE
+
+
+def _turned(point, quarter_turns):
+    x, y = point
+    for _ in range(quarter_turns):
+        x, y = 2 * _LOW + _SIDE - 1 - y, x
+    return x, y
+
+
+class _CountedLetters:
+    """An iterator over letter codes that counts the letters taken from it
+    one at a time; it moves on like the bytes iterator it wraps."""
+
+    def __init__(self, codes):
+        self._letters = iter(codes)
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        code = next(self._letters)
+        self.taken += 1
+        return code
+
+    def __length_hint__(self):
+        return self._letters.__length_hint__()
+
+    def __setstate__(self, index):
+        self._letters.__setstate__(index)
+
+
+class _Codes(bytes):
+    """Letter codes whose iterator is a `_CountedLetters`, kept as .letters."""
+
+    def __iter__(self):
+        self.letters = _CountedLetters(bytes(self))
+        return self.letters
+
+
+class TestLineSkip:
+    @staticmethod
+    def walk_whole(start, word):
+        """The encoded word's first revisit, walked by `_first_revisit` at
+        once; checked against the hash-set walk, and its marks and final
+        place against a step-by-step walk of the letters it took."""
+        g = QuadGraph(start)
+        i = g._first_revisit(word.encode().translate(_CODES))
+        hit = first_intersection_oracle(word)
+        assert i == (hit and hit[0]), (start, word)
+        plain = QuadGraph(start)
+        for c in word[:i]:
+            plain.step(int(c))
+        assert visited_points(g) == visited_points(plain), (start, word)
+        assert (g._node, g._pos) == (plain._node, plain._pos), (start, word)
+        return i
+
+    def test_runs_from_every_entry_offset(self):
+        # a run of 1-40 letters enters the tile at each offset of each
+        # edge: short of a line, a whole line, and on into the next tiles;
+        # then the same run back along the next line closes a loop
+        for turn in range(4):
+            for k in range(_SIDE):
+                start = _turned((_LOW - 1, _LOW + k), turn)
+                for run in range(1, 41):
+                    for word in ("0" * run, "0" * run + "1" + "2" * run + "3"):
+                        self.walk_whole(start, rotate(word, turn))
+
+    def test_a_clear_line_takes_one_letter(self):
+        # a run through 4 tiles from the edge of the first, and one letter
+        # more: one letter is taken per tile, the last on its own
+        for turn in range(4):
+            g = QuadGraph(_turned((_LOW - 1, _LOW + 5), turn))
+            word = rotate("0" * (4 * _SIDE + 1), turn)
+            codes = _Codes(word.encode().translate(_CODES))
+            assert g._first_revisit(codes) is None
+            assert codes.letters.taken == 5
+
+    def test_a_mark_on_the_line_is_found_at_each_point(self):
+        # start on point j of line k, step off it, and come back into the
+        # tile along line k with a run longer than the line: the run is
+        # walked letter by letter and revisits the start
+        for turn in range(4):
+            for k in range(_SIDE):
+                for j in range(_SIDE):
+                    start = _turned((_LOW + j, _LOW + k), turn)
+                    word = "1" + "2" * (j + 2) + "3" + "0" * (2 * _SIDE)
+                    assert self.walk_whole(start, rotate(word, turn)) == 2 * j + 6
+
+
 def test_peak_memory_per_letter():
     # a random {0,1} word never revisits, so every letter adds a point; a
-    # straight run touches a new tile every 8 letters, the most tiles per
-    # letter a walk can need
+    # straight run touches a new tile every _SIDE letters, the most tiles
+    # per letter a walk can need
     for word in ("".join(random.Random(16).choices("01", k=1 << 16)), "0" * (1 << 16)):
         tracemalloc.start()
         try:

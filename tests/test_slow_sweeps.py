@@ -4,13 +4,19 @@ The symmetry laws of `test_symmetry_laws.py` on 1,500 seeded shapes, the
 word-route convexity verdict against the fill-and-hull oracle on every
 boundary word of perimeter 16 and 18, and the quadtree walk against the
 hash-set walk on 2^20-letter paths, whose trees outgrow their first
-storage many times over.
+storage many times over and whose straight runs cross tiles whole.
 """
 
 import pytest
 
-from gridwords import detect_first_intersection, gen_random_polyomino, is_digitally_convex
+from gridwords import (
+    detect_first_intersection,
+    gen_random_polyomino,
+    is_digitally_convex,
+    rotate,
+)
 from gridwords.chain import path_facts
+from gridwords.quadgraph import _SIDE
 from helpers import boundary_words, convexity_oracle, first_intersection_oracle
 from test_symmetry_laws import images
 
@@ -37,24 +43,59 @@ def test_convexity_routes_agree_exhaustively(perimeter):
 
 def _long_walk(kind, n=1 << 20):
     """An n-letter serpentine with rows 517 steps wide; the same with a
-    step down into the row below 300 letters from its end; or a closed
-    simple comb of teeth 480 tall, of about n letters."""
-    if kind == "comb":
+    step down into the row below 300 letters from its end; a closed simple
+    comb of teeth 480 tall, of about n letters, turned k quarter turns in
+    "comb<k>"; or the spiral of `_spiral`."""
+    if kind.startswith("comb"):
         teeth = (n - 2) // 962
-        return ("1" * 480 + "0" + "3" * 480 + "0") * teeth + "3" + "2" * (2 * teeth) + "1"
+        tooth = "1" * 480 + "0" + "3" * 480 + "0"
+        comb = tooth * teeth + "3" + "2" * (2 * teeth) + "1"
+        return rotate(comb, int(kind[4:] or 0))
+    if kind == "spiral":
+        return _spiral(n)[0]
     row = "0" * 517 + "1" + "2" * 517 + "1"
     serpentine = (row * (n // len(row) + 1))[:n]
     return serpentine if kind == "serpentine" else serpentine[:-300] + "3" * 300
 
 
-@pytest.mark.parametrize("kind", ["serpentine", "comb", "revisit"])
+def _spiral(n, side=1470):
+    """An n-letter inward spiral, its rings 2 apart and its first sides
+    `side` letters long, whose last side runs on past its corner into the
+    ring outside it; and the index of that revisit, 2 letters past the
+    corner."""
+
+    def length(k):
+        return side - 2 * (max(k - 1, 0) // 2)
+
+    sides, k, total = [], 0, 0
+    while n - total - length(k) >= length(k + 1) + 18:
+        sides.append(str(k % 4) * length(k))
+        total += length(k)
+        k += 1
+    sides.append(str(k % 4) * (n - total))
+    return "".join(sides), total + length(k) + 2
+
+
+# Straight runs cross whole tile lines along all four letters in the turned
+# combs and in the spiral.
+@pytest.mark.parametrize(
+    "kind", ["serpentine", "comb", "revisit", "comb1", "comb2", "comb3", "spiral"]
+)
 def test_long_walks_agree_with_hash_set(kind):
     word = _long_walk(kind)
     want = first_intersection_oracle(word)
     if kind == "serpentine":
         assert want is None
-    elif kind == "comb":
+    elif kind.startswith("comb"):
         assert want == (len(word), (0, 0))  # simple: only the closing return
+    elif kind == "spiral":
+        assert want[0] == _spiral(len(word))[1]
+        # The last run, of 3s, enters the tile of its revisit with more than
+        # a line of letters left, so that line is found marked and walked
+        # letter by letter.  From the walk's start, (number of 2s, number of
+        # 3s), the revisited point lies inside its tile along the run.
+        assert word[-1] == "3" and len(word) - want[0] >= _SIDE
+        assert 0 < (want[1][1] + word.count("3")) % _SIDE < _SIDE - 1
     else:
         assert want[0] > len(word) - 300
     assert detect_first_intersection(word) == want
