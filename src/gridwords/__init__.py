@@ -51,7 +51,6 @@ from .quadgraph import (
     QuadGraph,
     detect_first_intersection,
     father_point,
-    normalize,
     sibling_condition,
 )
 from .render import render_svg
@@ -97,7 +96,6 @@ __all__ = [
     "is_simple",
     "least_rotation",
     "lyndon_factorize",
-    "normalize",
     "orient_ccw",
     "parse_chain_file",
     "reduce",

@@ -6,8 +6,8 @@ points with a byte of visited mark per point, so a step inside a tile only
 moves an offset.  Navigation never hashes coordinates: a step out of a tile
 either moves to a sibling tile under the same father, follows a memoized
 neighbor link, or reconstructs the neighbor as a child of the father's
-neighbor.  The walker does all of this in its own loop; it calls the
-recursive `_neighbor` only when the father's neighbor is not known either.
+neighbor.  The walker flips siblings and reads the memo in its own loop;
+one resolver, `_neighbor`, handles every miss, recursing up the tree.
 A straight run that enters a tile and crosses it whole tests and sets the
 tile's line of marks with one slice each.
 
@@ -143,11 +143,11 @@ class QuadGraph:
     def _neighbor(self, k, eps):
         """The eps-neighbor of node k, when it is no sibling and not memoized.
 
-        It is then a child of the father's eps-neighbor: allocated if
-        missing, and linked to k both ways.  The walker resolves a miss
-        itself and calls this only for a father whose neighbor is unknown,
-        the root included.  A step off the quadrant raises ValueError
-        before anything changes.
+        It is then a child of the father's eps-neighbor, which is found the
+        same way: a sibling, a memoized link, or a call one level up.  The
+        child is allocated if missing and linked to k both ways.  This is
+        the walker's one resolver of memo misses.  A step off the quadrant
+        climbs to the root, which raises ValueError before anything changes.
         """
         if not k:  # the root: the step leaves N x N
             raise ValueError("out of quadrant")
@@ -180,20 +180,17 @@ class QuadGraph:
 
         None if every target is new.  Trusts its input: callers validate.
         A step inside a tile only moves the mark offset.  A step out of a
-        tile moves to a sibling tile or reads the memo; on a miss the loop
-        takes the father's sibling or memoized neighbor, that node's child
-        group, and links the two nodes both ways.  Only when the father's
-        neighbor is itself unknown does it call `_neighbor`, which recurses
-        up the tree.  Node 0, the origin's tile, is the root and its own
+        tile flips to a sibling tile or reads the memo; a miss goes to
+        `_neighbor`.  Node 0, the origin's tile, is the root and its own
         father, and its left and down neighbors are never linked, so a step
-        off the quadrant reaches `_neighbor` at the root and raises before
+        off the quadrant climbs in `_neighbor` to the root and raises before
         anything changes.
 
         A step into a tile whose letter begins a run of `_SIDE` equal
-        letters walks the tile's whole line along that letter.  When that line holds no
-        mark, one slice sets it and the walk goes on from its far end;
-        otherwise the run is walked letter by letter, so the index returned
-        and the marks left are those of the plain walk.
+        letters walks the tile's whole line along that letter.  When that
+        line holds no mark, one slice sets it and the walk goes on from its
+        far end; otherwise the run is walked letter by letter, so the index
+        returned and the marks left are those of the plain walk.
         """
         tile = _TILE
         move = _MOVE
@@ -201,8 +198,6 @@ class QuadGraph:
         clear, full, side = _CLEAR_LINE, _FULL_LINE, _SIDE
         block, offset = _BLOCK, (1 << _BLOCK) - 1
         links = self._links
-        up = self._up
-        kids = self._kids
         blk = self._blk
         marks = self._marks
         runs_from = codes.startswith
@@ -223,18 +218,7 @@ class QuadGraph:
                 if cur & bit == keep:
                     cur ^= bit
                 else:
-                    link = links[eps]
-                    k = link[cur]
-                    if not k:
-                        f = up[cur >> 2]
-                        if f & bit == keep:
-                            f ^= bit
-                        else:
-                            f = link[f] or self._neighbor(f, eps)
-                        k = (kids[f] or self._first_child(f)) + ((cur & 3) ^ bit)
-                        link[cur] = k
-                        links[eps ^ 2][k] = cur
-                    cur = k
+                    cur = links[eps][cur] or self._neighbor(cur, eps)
                 base = blk[cur] << block or self._first_mark(cur)
                 pos = base + (pos & offset) + wrap
                 run, stride = line[eps]
@@ -253,27 +237,6 @@ class QuadGraph:
             marks[pos] = 1
         self._node, self._pos = cur, pos
         return None
-
-
-def normalize(word):
-    """Translation (-min x, -min y) that keeps the path from (0,0) in N x N."""
-    x = y = minx = miny = 0
-    for b in word.encode():
-        if b == 48:
-            x += 1
-        elif b == 49:
-            y += 1
-        elif b == 50:
-            x -= 1
-            if x < minx:
-                minx = x
-        elif b == 51:
-            y -= 1
-            if y < miny:
-                miny = y
-        else:
-            raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
-    return -minx, -miny
 
 
 def detect_first_intersection(word):

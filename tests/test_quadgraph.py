@@ -11,7 +11,6 @@ from gridwords import (
     QuadGraph,
     detect_first_intersection,
     father_point,
-    normalize,
     rotate,
     sibling_condition,
 )
@@ -73,6 +72,17 @@ def visited_points(g):
                 if mark:
                     seen.add((_SIDE * x + m % _SIDE, _SIDE * y + m // _SIDE))
     return frozenset(seen)
+
+
+def _state(g):
+    """All that a step can change: the tree, its link memo, the marks and
+    the walker's place, byte for byte."""
+    return (
+        node_count(g),
+        visited_points(g),
+        *map(bytes, (g._up, g._kids, g._blk, *g._links, g._marks)),
+        (g._node, g._pos),
+    )
 
 
 def _find(g, tile):
@@ -280,35 +290,6 @@ class TestGraphConstruction:
         assert sets[0] == sets[1]
 
 
-class TestNormalize:
-    def test_frozen(self):
-        assert normalize("") == (0, 0)
-        assert normalize("0") == (0, 0)
-        assert normalize("2") == (1, 0)
-        assert normalize("2233") == (2, 2)
-        assert normalize("0123") == (0, 0)
-
-    def test_offset_keeps_quadrant(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            w = "".join(rng.choice("0123") for _ in range(rng.randrange(40)))
-            dx, dy = normalize(w)
-            x, y = dx, dy
-            assert x >= 0 and y >= 0
-            for c in w:
-                sx, sy = STEP[c]
-                x, y = x + sx, y + sy
-                assert x >= 0 and y >= 0
-
-    def test_offset_is_minimal(self):
-        assert normalize("22011") == (2, 0)
-        assert normalize("33300") == (0, 3)
-
-    def test_rejects_bad_letter(self):
-        with pytest.raises(ValueError, match="invalid chain letter"):
-            normalize("01a")
-
-
 class TestDetect:
     def test_frozen(self):
         assert detect_first_intersection("002") == (3, (1, 0))
@@ -333,8 +314,7 @@ class TestDetect:
         rng = random.Random(13)
         for _ in range(50):
             w = "".join(rng.choice("0123") for _ in range(120))
-            start = normalize(w)
-            g = QuadGraph(start)
+            g = QuadGraph((w.count("2"), w.count("3")))
             revisits = sum(g.step(int(c)) for c in w)
             assert len(visited_points(g)) == len(w) + 1 - revisits
 
@@ -367,8 +347,14 @@ class TestSeam:
     def test_seam_walks_agree_with_hash_set(self, legs):
         word = "".join(legs)
         assert detect_first_intersection(word) == first_intersection_oracle(word)
-        x, y = start = normalize(word)
-        g = QuadGraph(start)
+        # the lowest-leftmost start that keeps the walk in the quadrant,
+        # so that the walk meets the axes
+        x = y = low_x = low_y = 0
+        for c in word:
+            x, y = x + STEP[c][0], y + STEP[c][1]
+            low_x, low_y = min(low_x, x), min(low_y, y)
+        x, y = -low_x, -low_y
+        g = QuadGraph((x, y))
         flags = []
         for leg in legs:
             for c in leg:
@@ -376,10 +362,10 @@ class TestSeam:
                 x, y = x + STEP[c][0], y + STEP[c][1]
             for eps, coordinate in ((2, x), (3, y)):
                 if coordinate == 0:
-                    before = node_count(g), visited_points(g)
+                    before = _state(g)
                     with pytest.raises(ValueError, match="out of quadrant"):
                         g.step(eps)
-                    assert (node_count(g), visited_points(g)) == before
+                    assert _state(g) == before
         assert flags == revisit_flags(word)
 
 
@@ -414,10 +400,10 @@ class TestTileEdges:
         for k in range(_SIDE):
             for start, off, away, back in (((k, 0), 3, 1, 3), ((0, k), 2, 0, 2)):
                 g = QuadGraph(start)
-                before = node_count(g), visited_points(g)
+                before = _state(g)
                 with pytest.raises(ValueError, match="out of quadrant"):
                     g.step(off)
-                assert (node_count(g), visited_points(g)) == before
+                assert _state(g) == before
                 # the walker still stands on the start
                 assert g.step(away) is False
                 assert g.step(back) is True

@@ -9,14 +9,13 @@ from gridwords import (
     gen_random_polyomino,
     hat,
     is_digitally_convex,
-    normalize,
     rotate,
     split_extremal,
     trace,
 )
 
 
-@pytest.mark.parametrize("func", [normalize, detect_first_intersection])
+@pytest.mark.parametrize("func", [detect_first_intersection])
 @pytest.mark.parametrize("word, bad", [("01é", "é"), ("0€12", "€"), ("x0", "x")])
 def test_invalid_letter_names_the_character(func, word, bad):
     with pytest.raises(ValueError) as info:
