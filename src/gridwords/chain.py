@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import lyndon_factorize
-from .quadgraph import detect_first_intersection
+from .quadgraph import detect_first_intersection, letter_counts
 
 ALPHABET = "0123"
 STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -28,13 +28,12 @@ _REF = tuple(
 # the pairs that cancel (difference 2).
 _LEFT = ("01", "12", "23", "30")
 _RIGHT = ("03", "10", "21", "32")
-_CANCEL = re.compile(b"02|20|13|31")
+_HALF = ("02", "20", "13", "31")
+_CANCEL = re.compile("|".join(_HALF).encode())
 
 
 def _validate(word):
-    bad = word.strip(ALPHABET)
-    if bad:
-        raise ValueError(f"invalid chain letter {bad[0]!r}")
+    letter_counts(word)
     return word
 
 
@@ -76,15 +75,22 @@ def reduce(word, circular=False):
     """Normal form after deleting cancelling step pairs {02, 20, 13, 31}.
 
     With circular=True the seam (last letter against first) is cancelled
-    too, modelling reduction of the conjugacy class.  One split at the
-    input's cancelling pairs drops those pairs and leaves stretches free of
-    them.  A stack of bytes pops while a stretch's next letter cancels its
-    top, then takes the rest of the stretch whole: the loop runs once per
-    stretch and once per cancellation.  Free reduction is confluent, so the
-    order of the cancellations does not matter.
+    too, modelling reduction of the conjugacy class.  A word with no
+    cancelling pair, and no cancelling seam if circular, is returned as it
+    is.  Otherwise one split at the input's cancelling pairs drops those
+    pairs and leaves stretches free of them.  A stack of bytes pops while a
+    stretch's next letter cancels its top, then takes the rest of the
+    stretch whole: the loop runs once per stretch and once per
+    cancellation.  Free reduction is confluent, so the order of the
+    cancellations does not matter.
     """
+    _validate(word)
+    if not any(pair in word for pair in _HALF) and not (
+        circular and word and (ord(word[0]) - ord(word[-1])) % 4 == 2
+    ):
+        return word
     out = bytearray()
-    for piece in _CANCEL.split(_validate(word).encode()):
+    for piece in _CANCEL.split(word.encode()):
         k, n = 0, len(piece)
         while k < n and out and (piece[k] - out[-1]) % 4 == 2:
             out.pop()
@@ -100,8 +106,8 @@ def reduce(word, circular=False):
 
 def is_closed(word):
     """True iff the path returns to its start (letter counts balance)."""
-    _validate(word)
-    return word.count("0") == word.count("2") and word.count("1") == word.count("3")
+    right, up, left, down = letter_counts(word)
+    return right == left and up == down
 
 
 def simple_from_revisit(word, hit):

@@ -52,10 +52,10 @@ def parse_chain_file(data):
         word_end = len(line) if at == -1 else at
         body = line[body_start:word_end]
         word = "".join(body.split())
-        bad = word.strip("0123")
-        if bad:
-            column = body_start + body.index(bad[0]) + 1
-            raise ChainFileError(f"invalid character {bad[0]!r}", lineno, column)
+        if sum(map(word.count, "0123")) != len(word):  # strip only to name it
+            bad = word.strip("0123")[0]
+            column = body_start + body.index(bad) + 1
+            raise ChainFileError(f"invalid character {bad!r}", lineno, column)
         start = None
         if at != -1:
             fields = line[at + 1 :].split()

@@ -1,7 +1,7 @@
 """Radix quadtree over first-quadrant lattice points with lazy neighbor links.
 
 Supports walking a chain-code path one unit step at a time while detecting
-the first revisited grid point.  The tree's nodes are 16x16 tiles of
+the first revisited grid point.  The tree's nodes are 32x32 tiles of
 points with a byte of visited mark per point, so a step inside a tile only
 moves an offset.  Navigation never hashes coordinates: a step out of a tile
 either moves to a sibling tile under the same father, follows a memoized
@@ -25,7 +25,7 @@ _MOVE = ((1, 0), (2, 0), (1, 1), (2, 2))
 
 # Points per tile side, a power of 2.  A tile's marks are a block of
 # 2**_BLOCK bytes, the mark of point (x, y) at _SIDE*(y%_SIDE) + x%_SIDE.
-_SIDE = 16
+_SIDE = 32
 _SHIFT = _SIDE.bit_length() - 1  # point (x, y) lies in tile (x, y) >> _SHIFT
 _BLOCK = 2 * _SHIFT
 _LAST = _SIDE - 1
@@ -79,22 +79,22 @@ class QuadGraph:
     moves the current point by one letter and reports whether the target
     was already visited.
 
-    The tree's nodes are 16x16 tiles of points: the node of tile (X, Y)
-    stands for the points (16X + i, 16Y + j), 0 <= i, j < 16.  The tree
+    The tree's nodes are 32x32 tiles of points: the node of tile (X, Y)
+    stands for the points (32X + i, 32Y + j), 0 <= i, j < 32.  The tree
     lives in flat arrays indexed by node id, so no Python object is made per
     node.  Nodes are allocated four siblings at a time: node k has slot
     k & 3 and father `_up[k >> 2]`, `_kids[k]` is the id of its first child
     (0 if it has none), and `_links[eps][k]` memoizes its eps-neighbor when
     that is not a sibling (0 if unknown).  Group 0 holds the root's
     children; the root is node 0, the origin's tile, its own father and its
-    own 0-child.  A tile gets its marks on its first visit: 256 bytes of
-    `_marks` from byte 256 * `_blk[k]`, point (16X + i, 16Y + j) at
-    16j + i.  `_blk[k]` is 0 while unset, and block 0 is the root's.  The
+    own 0-child.  A tile gets its marks on its first visit: 1,024 bytes of
+    `_marks` from byte 1,024 * `_blk[k]`, point (32X + i, 32Y + j) at
+    32j + i.  `_blk[k]` is 0 while unset, and block 0 is the root's.  The
     walker stands on node `_node` at mark `_pos`.  Coordinates live only in
     the tree path, whose slots spell their binary digits, in the mark
     offsets and in the word being walked.  Node and block ids are C ints; a
     tree of 2^31 nodes would take about 54 GB in its id arrays alone, and
-    each of its visited tiles 256 bytes more, so memory runs out before the
+    each of its visited tiles 1,024 bytes more, so memory runs out before the
     ids do.
     """
 
@@ -239,6 +239,19 @@ class QuadGraph:
         return None
 
 
+def letter_counts(word):
+    """The numbers of 0s, 1s, 2s and 3s in a chain word.
+
+    Raises ValueError naming the first letter that is none of these.  The
+    four counts add up to the word's length exactly when every letter is a
+    chain letter; a `strip` runs only to name the bad one.
+    """
+    counts = word.count("0"), word.count("1"), word.count("2"), word.count("3")
+    if sum(counts) != len(word):
+        raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
+    return counts
+
+
 def detect_first_intersection(word):
     """First revisited point of the path, as (1-based letter index, point).
 
@@ -249,9 +262,7 @@ def detect_first_intersection(word):
     the prefix walked.  The walk starts at (number of 2s, number of 3s),
     which no prefix can take out of the first quadrant.
     """
-    start = word.count("2"), word.count("3")
-    if word.count("0") + word.count("1") + sum(start) != len(word):
-        raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")
+    start = letter_counts(word)[2:]
     i = QuadGraph(start)._first_revisit(word.encode().translate(_CODES))
     if i is None:
         return None

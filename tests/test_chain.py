@@ -170,6 +170,31 @@ class TestReduce:
         assert reduce("0" * k + "1" + "2" * k) == "0" * k + "1" + "2" * k
         assert reduce("0" * k + "1" + "2" * k, circular=True) == "1"
 
+    def test_early_return_against_oracle(self):
+        # words free of cancelling pairs come back as they are, unless
+        # circular and their seam cancels; a pair at either end, or many
+        # pairs, take the stack
+        def opposite(c):
+            return "0123"[(int(c) + 2) % 4]
+
+        def free_word(rng, n):
+            w = rng.choice("0123") if n else ""
+            while len(w) < n:
+                w += rng.choice("0123".replace(opposite(w[-1]), ""))
+            return w
+
+        rng = random.Random(13)
+        words = ["", "012", "2010", "0102", "1301", "0132"]
+        for _ in range(300):
+            w = free_word(rng, rng.randrange(65))
+            words += [w, rng.choice(("02", "13", "0213", "0123")) * rng.randrange(33)]
+            if w:
+                words += [opposite(w[0]) + w, w + opposite(w[-1])]
+        assert reduce("012", circular=True) == "1"
+        for w in words:
+            assert reduce(w) == reduce_oracle(w), w
+            assert reduce(w, circular=True) == reduce_oracle(w, circular=True), w
+
     def test_circular_trims_seam(self):
         rng = random.Random(7)
         for _ in range(200):

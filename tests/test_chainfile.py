@@ -71,6 +71,14 @@ class TestErrors:
         cf = parse_chain_file("w:\t01\u00a02\u20003 3\n")
         assert cf[0].word == "01233"
 
+    def test_location_at_the_end_of_a_long_record(self):
+        # the last of 2^16 letters, with a space after every fourth
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("0\nlong: " + "0123 " * ((1 << 14) - 1) + "321x\n")
+        assert excinfo.value.line == 2
+        assert excinfo.value.column == 6 + 5 * ((1 << 14) - 1) + 4
+        assert "invalid character 'x'" in str(excinfo.value)
+
     def test_duplicate_label(self):
         with pytest.raises(ChainFileError, match="duplicate"):
             parse_chain_file("a: 0123\na: 0011\n")

@@ -507,8 +507,8 @@ class TestLineSkip:
 
 def test_peak_memory_per_letter():
     # a random {0,1} word never revisits, so every letter adds a point; a
-    # straight run touches a new tile every _SIDE letters, the most tiles
-    # per letter a walk can need
+    # straight run touches a new tile every _SIDE letters (a path that
+    # crosses a tile line back and forth touches more: see the next test)
     for word in ("".join(random.Random(16).choices("01", k=1 << 16)), "0" * (1 << 16)):
         tracemalloc.start()
         try:
@@ -517,6 +517,32 @@ def test_peak_memory_per_letter():
         finally:
             tracemalloc.stop()
         assert peak <= 48 * len(word)
+
+
+def dipping_word(n, seed):
+    """About n letters along a tile line: a run of 0s that steps down
+    across the line and back up every 16-64 columns.  The walk starts at
+    (number of 2s, number of 3s); the number of dips is a multiple of
+    _SIDE, so the run lies on the bottom row of its tiles and each dip
+    enters the tile below it."""
+    rng = random.Random(seed)
+    gaps = [rng.randint(16, 64) for _ in range(n // 43)]
+    return "".join("0" * gap + "301" for gap in gaps[: len(gaps) // _SIDE * _SIDE])
+
+
+def test_peak_memory_on_a_tile_line():
+    # the run's tiles take their marks, and so do the tiles below the line
+    # that its dips enter: up to two blocks of _SIDE * _SIDE bytes for each
+    # _SIDE columns
+    word = dipping_word(1 << 16, 18)
+    assert word.count("3") % _SIDE == 0
+    tracemalloc.start()
+    try:
+        assert detect_first_intersection(word) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _SIDE * len(word)
 
 
 def test_walk_makes_no_tracked_object_per_node():

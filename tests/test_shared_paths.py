@@ -4,19 +4,77 @@ extremal split's corner points, and the convexity evidence the CLI prints."""
 import pytest
 
 from gridwords import (
+    bn_factorizations,
+    classify,
     decide_convexity,
+    delta,
+    delta_circular,
     detect_first_intersection,
+    enclosed_cells,
     gen_random_polyomino,
     hat,
+    is_closed,
     is_digitally_convex,
+    is_simple,
+    orient_ccw,
+    reduce,
+    reflect,
     rotate,
+    salient_reentrant,
     split_extremal,
+    square_count,
     trace,
+    turning_number,
 )
+from gridwords.chain import path_facts
 
 
-@pytest.mark.parametrize("func", [detect_first_intersection])
-@pytest.mark.parametrize("word, bad", [("01é", "é"), ("0€12", "€"), ("x0", "x")])
+def reflected(word):
+    return reflect(word, 1)
+
+
+# Every public function that reads a chain word names its first bad letter.
+@pytest.mark.parametrize(
+    "func",
+    [
+        pytest.param(f, id=f.__name__)
+        for f in (
+            detect_first_intersection,
+            bn_factorizations,
+            classify,
+            decide_convexity,
+            delta,
+            delta_circular,
+            enclosed_cells,
+            hat,
+            is_closed,
+            is_digitally_convex,
+            is_simple,
+            orient_ccw,
+            path_facts,
+            reduce,
+            reflected,
+            rotate,
+            salient_reentrant,
+            split_extremal,
+            square_count,
+            trace,
+            turning_number,
+        )
+    ],
+)
+@pytest.mark.parametrize(
+    "word, bad",
+    [
+        ("01é", "é"),
+        ("0€12", "€"),
+        ("x0", "x"),
+        pytest.param("0123" * ((1 << 14) - 1) + "321x", "x", id="last-of-2^16-x"),
+        ("01\u0663", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("\uff101", "\uff10"),  # FULLWIDTH DIGIT ZERO
+        ("0\x001", "\x00"),
+    ],
+)
 def test_invalid_letter_names_the_character(func, word, bad):
     with pytest.raises(ValueError) as info:
         func(word)

@@ -7,6 +7,8 @@ hash-set walk on 2^20-letter paths, whose trees outgrow their first
 storage many times over and whose straight runs cross tiles whole.
 """
 
+import math
+
 import pytest
 
 from gridwords import (
@@ -18,6 +20,7 @@ from gridwords import (
 from gridwords.chain import path_facts
 from gridwords.quadgraph import _SIDE
 from helpers import boundary_words, convexity_oracle, first_intersection_oracle
+from test_quadgraph import dipping_word
 from test_symmetry_laws import images
 
 pytestmark = pytest.mark.slow
@@ -45,7 +48,13 @@ def _long_walk(kind, n=1 << 20):
     """An n-letter serpentine with rows 517 steps wide; the same with a
     step down into the row below 300 letters from its end; a closed simple
     comb of teeth 480 tall, of about n letters, turned k quarter turns in
-    "comb<k>"; or the spiral of `_spiral`."""
+    "comb<k>"; the spiral of `_spiral`; the tile-line word of
+    `dipping_word`; or the boundary of the digital disk of `_disk`, of
+    about 10^6 letters."""
+    if kind == "dips":
+        return dipping_word(n, 20)
+    if kind == "disk":
+        return _disk(125_000)
     if kind.startswith("comb"):
         teeth = (n - 2) // 962
         tooth = "1" * 480 + "0" + "3" * 480 + "0"
@@ -76,17 +85,38 @@ def _spiral(n, side=1470):
     return "".join(sides), total + length(k) + 2
 
 
+def _disk(r):
+    """Counterclockwise boundary word of the Gauss digitization of the disk
+    of radius r: the unit cells centred on the lattice points within it,
+    column x spanning rows -h..h with h = isqrt(r^2 - x^2).  Bottom profile
+    left to right, right side, top profile right to left, left side: 8r + 4
+    letters."""
+    h = [math.isqrt(r * r - x * x) for x in range(-r, r + 1)]
+    word = []
+    for a, b in zip(h, h[1:]):  # bottoms -a, then -b
+        word.append("0" + ("3" * (b - a) if b > a else "1" * (a - b)))
+    word.append("0" + "1" * (2 * h[-1] + 1))
+    for a, b in zip(h[::-1], h[-2::-1]):  # tops a + 1, then b + 1
+        word.append("2" + ("1" * (b - a) if b > a else "3" * (a - b)))
+    word.append("2" + "3" * (2 * h[0] + 1))
+    return "".join(word)
+
+
 # Straight runs cross whole tile lines along all four letters in the turned
-# combs and in the spiral.
+# combs and in the spiral.  The tile-line word crosses one line back and
+# forth; the disk's runs are short, most of them single letters.
 @pytest.mark.parametrize(
-    "kind", ["serpentine", "comb", "revisit", "comb1", "comb2", "comb3", "spiral"]
+    "kind",
+    ["serpentine", "comb", "revisit", "comb1", "comb2", "comb3", "spiral", "dips", "disk"],
 )
 def test_long_walks_agree_with_hash_set(kind):
     word = _long_walk(kind)
     want = first_intersection_oracle(word)
     if kind == "serpentine":
         assert want is None
-    elif kind.startswith("comb"):
+    elif kind == "dips":
+        assert want is None and word.count("3") % _SIDE == 0
+    elif kind.startswith("comb") or kind == "disk":
         assert want == (len(word), (0, 0))  # simple: only the closing return
     elif kind == "spiral":
         assert want[0] == _spiral(len(word))[1]
