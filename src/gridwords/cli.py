@@ -7,9 +7,10 @@ chain file with such a name is passed with a directory part, as in `./0123`.
 --check belongs to the four record commands.  --format belongs to every
 command but render, which prints SVG: key=value text, or JSON with
 --format machine.  christoffel and gen build at most 2^20 letters per call,
-and render draws words of at most 2^20 letters; the 2^20 grid-dot bound on
-render belongs to `render_svg`.  Exit codes:
-0 success, 1 failed --check, 2 input errors.
+tile prints at most 2^20 block letters per word, checked after the search
+and before any report is printed, and render draws words of at most 2^20
+letters; the 2^20 grid-dot bound on render belongs to `render_svg`.
+Exit codes: 0 success, 1 failed --check, 2 input errors.
 """
 
 import argparse
@@ -26,8 +27,9 @@ from .lyndon import christoffel, format_factorization, lyndon_factorize
 from .quadgraph import detect_first_intersection
 from .tiling import TileClass, bn_factorizations
 
-# Letters christoffel and gen may build in one call: the length of the
-# longest walks the package is benchmarked on.
+# Letters christoffel and gen may build in one call, and block letters tile
+# may print for one word: the length of the longest walks the package is
+# benchmarked on.
 _MAX_LETTERS = 1 << 20
 
 
@@ -108,13 +110,18 @@ def _convex(word):
 
 def _tile(word):
     facts = bn_factorizations(word)
+    letters = len(facts) * (len(word) // 2)
+    if letters > _MAX_LETTERS:
+        raise ValueError(
+            f"tile of a {len(word)}-letter word would print {letters} block letters; "
+            f"the limit is {_MAX_LETTERS}"
+        )
     tile_class = TileClass.of(facts)
     report = {
         "class": tile_class.value,
         "squares": sum(f.is_square for f in facts),
         "factorizations": [
-            {"cuts": list(f.cuts), "X": f.blocks[0], "Y": f.blocks[1], "Z": f.blocks[2]}
-            for f in facts
+            {"cuts": list(f.cuts), **dict(zip("XYZ", f.blocks))} for f in facts
         ],
     }
     return report, tile_class is not TileClass.NOT_EXACT

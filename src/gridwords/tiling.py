@@ -4,7 +4,8 @@ A polyomino tiles the plane by translations iff its boundary word admits
 such a factorization with at most one empty block; one empty block makes
 it a square, none a hexagon.  Cut positions are reported on the canonical
 (least) rotation of the input, and two factorizations count as the same
-exactly when their cut sets coincide.
+exactly when their cut sets coincide.  A factorization holds only its
+cuts and that rotation; its blocks are sliced from the rotation when read.
 
 A block is valid when its antipodal arc is hat of the block.  That is a
 palindrome test on a word interleaving the two arcs, so one Manacher pass
@@ -15,7 +16,7 @@ non-empty block a factorization can use there, and the search looks at
 fewer than 2n candidate blocks for a word of length n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .chain import canonical_rotation, is_closed, is_simple, rotate
@@ -36,21 +37,18 @@ class TileClass(Enum):
 
 @dataclass(frozen=True)
 class BNFactorization:
-    cuts: tuple  # 4 or 6 sorted positions, antipodally paired mod n
-    blocks: tuple  # (X, Y, Z) read from the least cut; Z == "" for squares
+    cuts: tuple  # 4 or 6 sorted positions in word, antipodally paired mod n
+    word: str = field(repr=False)  # the canonical rotation, shared by all
 
     @property
     def is_square(self):
         return len(self.cuts) == 4
 
-
-def _blocks_from_cuts(d, h, cuts):
-    """Blocks X, Y, Z between the cuts, sliced from d = w + w from the least cut."""
-    ends = [c for c in cuts if c < cuts[0] + h] + [cuts[0] + h]
-    parts = [d[p:q] for p, q in zip(ends, ends[1:])]
-    while len(parts) < 3:
-        parts.append("")
-    return BNFactorization(cuts, tuple(parts))
+    @property
+    def blocks(self):
+        """(X, Y, Z) from the least cut, which is below n/2; Z == "" for squares."""
+        ends = (*self.cuts[: len(self.cuts) // 2], self.cuts[0] + len(self.word) // 2)
+        return (*(self.word[p:q] for p, q in zip(ends, ends[1:])), "")[:3]
 
 
 def _even_radii(z):
@@ -74,9 +72,9 @@ def bn_factorizations(word):
     Every cut set on the canonical rotation w, deduplicated and returned
     sorted; none for a word that is not closed and simple.
 
-    With n = |w|, h = n/2 and d = w + w, block [p, q) is valid when its
-    antipodal arc d[p+h:q+h] equals hat(d[p:q]).  Interleaving the arcs
-    as z[2i] = d[i+h], z[2i+1] = d[i] + 2 mod 4 makes that "z[2p:2q] is a
+    With n = |w|, h = n/2 and indices mod n, block [p, q) is valid when
+    its antipodal arc w[p+h:q+h] equals hat(w[p:q]).  Interleaving the arcs
+    as z[2i] = w[i+h], z[2i+1] = w[i] + 2 mod 4 makes that "z[2p:2q] is a
     palindrome", so with R the even palindrome radii of z, [p, q) is valid
     iff q - p <= R[p + q].  A block of a factorization is admissible, so
     it is the longest valid block at its centre c = p + q: its length is
@@ -87,16 +85,16 @@ def bn_factorizations(word):
     of Y are the candidate ends after q1 that are also candidate starts of
     Z = [q2, s + h): one set intersection, costing the smaller set.  That
     is fewer than 3n intersections, O(n D) Python steps for D the most
-    candidates sharing an endpoint, plus O(n) to slice each factorization.
+    candidates sharing an endpoint.  A factorization holds its cuts and w,
+    and its blocks are sliced when read.
     """
     if not (is_closed(word) and is_simple(word)):
         return []
     w = canonical_rotation(word)
     n = len(w)
     h = n // 2
-    d = w + w
     z = [""] * (2 * n)
-    z[0::2] = d[h:h + n]
+    z[0::2] = w[h:] + w[:h]
     z[1::2] = rotate(w, 2)
     radii = _even_radii(z)
     ends = [{p} for p in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
@@ -113,7 +111,7 @@ def bn_factorizations(word):
         for q1 in ends[s]:
             for q2 in ends[q1] & starts[t]:
                 found.add(tuple(sorted({s, q1, q2, t, (q1 + h) % n, (q2 + h) % n})))
-    return [_blocks_from_cuts(d, h, cuts) for cuts in sorted(found)]
+    return [BNFactorization(cuts, w) for cuts in sorted(found)]
 
 
 def classify(word):

@@ -219,6 +219,30 @@ def reconstruct(fact, word):
     return x + y + z + hat(x) + hat(y) + hat(z) == w[m:] + w[:m]
 
 
+_SWAP_LR = str.maketrans("LR", "RL")
+
+
+def fibonacci_snowflake(n):
+    """Boundary word of the order-n Fibonacci snowflake, a double square.
+
+    q_0 = '' and q_1 = 'R'; for k >= 2, q_k = q_{k-1} q_{k-2} when k = 1
+    mod 3, else q_{k-1} followed by q_{k-2} with L and R swapped (Blondin
+    Masse, Brlek, Garon & Labbe, TCS 412, 2011).  The tile is (q_n L)^4
+    read as turns from direction 0: each letter is the current direction,
+    then L turns a quarter turn left and R a quarter turn right.
+    """
+    q = ["", "R"]
+    for k in range(2, n + 1):
+        tail = q[k - 2] if k % 3 == 1 else q[k - 2].translate(_SWAP_LR)
+        q.append(q[k - 1] + tail)
+    word = []
+    d = 0
+    for turn in (q[n] + "L") * 4:
+        word.append("0123"[d])
+        d = (d + 1 if turn == "L" else d - 1) % 4
+    return "".join(word)
+
+
 def _blocks_from_cuts_oracle(word, cuts):
     h = len(word) // 2
     m = cuts[0]

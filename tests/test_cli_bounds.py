@@ -1,5 +1,5 @@
-"""Size limits of the word-building commands and render, and the chain-file
-escape."""
+"""Size limits of the word-building commands, tile and render, and the
+chain-file escape."""
 
 import json
 
@@ -65,6 +65,36 @@ class TestChristoffelLimits:
         monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
         assert run(capsys, "christoffel", 5, 3) == (0, "00100101\n", "")
         assert run(capsys, "christoffel", 5, 4)[0] == 2
+
+
+class TestTileLimits:
+    def test_over_limit(self, capsys, monkeypatch):
+        # two square factorizations of 6 block letters each
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 8)
+        rc, out, err = run(capsys, "tile", "010121232303")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: tile of a 12-letter word would print 12 block letters; "
+            "the limit is 8\n"
+        )
+
+    def test_at_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_LETTERS", 12)
+        rc, out, err = run(capsys, "tile", "010121232303")
+        assert (rc, err) == (0, "")
+        assert out.count("cuts=") == 2
+
+    def test_square_over_limit_prints_nothing(self, capsys):
+        # 1,199 factorizations of 1,200 block letters each; the first
+        # record's report is not printed either
+        square = "0" * 600 + "1" * 600 + "2" * 600 + "3" * 600
+        for fmt in ("text", "machine"):
+            rc, out, err = run(capsys, "tile", "--format", fmt, "0123", square)
+            assert (rc, out) == (2, ""), fmt
+            assert err == (
+                "error: tile of a 2400-letter word would print 1438800 block letters; "
+                f"the limit is {cli._MAX_LETTERS}\n"
+            )
 
 
 class TestRenderLimits:
