@@ -14,12 +14,19 @@ factorization is admissible (Winslow): one more letter on each side
 makes it invalid.  So the longest valid block at each centre is the only
 non-empty block a factorization can use there, and the search looks at
 fewer than 2n candidate blocks for a word of length n.
+
+Most boundaries are not exact, and one necessary condition rules out
+nearly all long ones before the walk and the search.  The blocks have n/2
+letters in all, so the longest has at least n/6, and it is a common
+cyclic factor of the word and of its hat.  When no chunk of ceil(n/12)
+letters, cut from the doubled hat at multiples of that length, occurs in
+the doubled word, no block can be that long, and the word is not exact.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .chain import canonical_rotation, is_closed, is_simple, rotate
+from .chain import canonical_rotation, hat, is_closed, is_simple, rotate
 
 
 class TileClass(Enum):
@@ -57,7 +64,14 @@ def _even_radii(z):
     radii = [0] * (m + 1)
     lo = hi = 0  # z[lo:hi] is the palindrome reaching furthest right so far
     for c in range(1, m):
-        r = min(radii[lo + hi - c], hi - c) if c < hi else 0
+        r = 0
+        if c < hi:
+            r = radii[lo + hi - c]
+            if r < hi - c:  # the mirror's palindrome lies strictly inside
+                radii[c] = r
+                continue
+            if r > hi - c:  # when equal, radii[c] shares the mirror's int
+                r = hi - c
         while r < c and c + r < m and z[c - r - 1] == z[c + r]:
             r += 1
         radii[c] = r
@@ -66,11 +80,31 @@ def _even_radii(z):
     return radii
 
 
+def _may_tile(word):
+    """False only for a closed word with no factorization, in any rotation.
+
+    The blocks X, Y, Z have h = n/2 letters in all, so one of them, B, has
+    at least ceil(h/3) >= 2k - 1 letters for k = ceil(n/12).  B and hat(B)
+    are cyclic factors of the word, so B is one of hat(word) too.  An
+    occurrence of B in hat(word)^2 that starts below n holds a chunk of k
+    letters starting at a multiple of k below n + k, and that chunk, a
+    factor of B, occurs in word^2.
+    """
+    n = len(word)
+    k = max(1, (n + 11) // 12)  # ceil(n/12), and 1 for the empty word
+    ww = word + word
+    vv = hat(word) * 2
+    return any(vv[j : j + k] in ww for j in range(0, n + k, k))
+
+
 def bn_factorizations(word):
     """All factorizations X Y Z hat(X) hat(Y) hat(Z) of a boundary word.
 
-    Every cut set on the canonical rotation w, deduplicated and returned
-    sorted; none for a word that is not closed and simple.
+    Every cut set on the canonical rotation w, sorted; none for a word that
+    is not closed and simple.  A closed word is first put to `_may_tile`,
+    at most 13 substring searches in C on the doubled word and its doubled
+    hat; a word it rejects has no factorization, and is neither walked for
+    simplicity nor searched.
 
     With n = |w|, h = n/2 and indices mod n, block [p, q) is valid when
     its antipodal arc w[p+h:q+h] equals hat(w[p:q]).  Interleaving the arcs
@@ -81,14 +115,16 @@ def bn_factorizations(word):
     R[c] lowered to the parity of c.  With at most one empty block, every
     non-empty block is shorter than h.  The candidates are therefore one
     block of length 0 < r < h per centre, fewer than 2n, and the n + 1
-    empty blocks.  For each start s and candidate X = [s, q1), the ends q2
-    of Y are the candidate ends after q1 that are also candidate starts of
-    Z = [q2, s + h): one set intersection, costing the smaller set.  That
-    is fewer than 3n intersections, O(n D) Python steps for D the most
+    empty blocks.  Each cut set is found once, from its least cut s < h,
+    with X = [s, q1) and Y = [q1, q2) non-empty, so q1 < h.  A square has
+    Z = [t, t) empty, with t = s + h, and a hexagon q2 < h.  The ends q2 of
+    Y are the candidate ends after q1 that are also candidate starts of
+    Z = [q2, t): one set intersection, costing the smaller set.  That is
+    fewer than 2n intersections, O(n D) Python steps for D the most
     candidates sharing an endpoint.  A factorization holds its cuts and w,
     and its blocks are sliced when read.
     """
-    if not (is_closed(word) and is_simple(word)):
+    if not (is_closed(word) and _may_tile(word) and is_simple(word)):
         return []
     w = canonical_rotation(word)
     n = len(w)
@@ -105,13 +141,18 @@ def bn_factorizations(word):
             ends[(c - r) // 2].add((c + r) // 2)
             starts[(c + r) // 2].add((c - r) // 2)
 
-    found = set()
+    found = []
     for s in range(h):
         t = s + h
         for q1 in ends[s]:
-            for q2 in ends[q1] & starts[t]:
-                found.add(tuple(sorted({s, q1, q2, t, (q1 + h) % n, (q2 + h) % n})))
-    return [BNFactorization(cuts, w) for cuts in sorted(found)]
+            if s < q1 < h:
+                for q2 in ends[q1] & starts[t]:
+                    if q2 == t:
+                        found.append((s, q1, t, q1 + h))
+                    elif q1 < q2 < h:
+                        found.append((s, q1, q2, t, q1 + h, q2 + h))
+    found.sort()
+    return [BNFactorization(cuts, w) for cuts in found]
 
 
 def classify(word):

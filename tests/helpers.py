@@ -7,6 +7,7 @@ Lyndon factorization and the flood-fill-and-hull convexity check each
 stand on their own.
 """
 
+import math
 from operator import floordiv
 
 STEP = {"0": (1, 0), "1": (0, 1), "2": (-1, 0), "3": (0, -1)}
@@ -241,6 +242,34 @@ def fibonacci_snowflake(n):
         word.append("0123"[d])
         d = (d + 1 if turn == "L" else d - 1) % 4
     return "".join(word)
+
+
+def gauss_disk(r):
+    """Counterclockwise boundary word of the Gauss digitization of the disk
+    of radius r: the unit cells centred on the lattice points within it,
+    column x spanning rows -h..h with h = isqrt(r^2 - x^2).  Bottom profile
+    left to right, right side, top profile right to left, left side: 8r + 4
+    letters."""
+    h = [math.isqrt(r * r - x * x) for x in range(-r, r + 1)]
+    word = []
+    for a, b in zip(h, h[1:]):  # bottoms -a, then -b
+        word.append("0" + ("3" * (b - a) if b > a else "1" * (a - b)))
+    word.append("0" + "1" * (2 * h[-1] + 1))
+    for a, b in zip(h[::-1], h[-2::-1]):  # tops a + 1, then b + 1
+        word.append("2" + ("1" * (b - a) if b > a else "3" * (a - b)))
+    word.append("2" + "3" * (2 * h[0] + 1))
+    return "".join(word)
+
+
+def even_radii_brute(z):
+    """radii[c] for c = 0..len(z): the largest r with z[c-r:c+r] a palindrome."""
+    radii = []
+    for c in range(len(z) + 1):
+        r = min(c, len(z) - c)
+        while z[c - r : c + r] != z[c - r : c + r][::-1]:
+            r -= 1
+        radii.append(r)
+    return radii
 
 
 def _blocks_from_cuts_oracle(word, cuts):

@@ -7,8 +7,6 @@ hash-set walk on 2^20-letter paths, whose trees outgrow their first
 storage many times over and whose straight runs cross tiles whole.
 """
 
-import math
-
 import pytest
 
 from gridwords import (
@@ -19,7 +17,12 @@ from gridwords import (
 )
 from gridwords.chain import path_facts
 from gridwords.quadgraph import _SIDE
-from helpers import boundary_words, convexity_oracle, first_intersection_oracle
+from helpers import (
+    boundary_words,
+    convexity_oracle,
+    first_intersection_oracle,
+    gauss_disk,
+)
 from test_quadgraph import dipping_word
 from test_symmetry_laws import images
 
@@ -49,12 +52,12 @@ def _long_walk(kind, n=1 << 20):
     step down into the row below 300 letters from its end; a closed simple
     comb of teeth 480 tall, of about n letters, turned k quarter turns in
     "comb<k>"; the spiral of `_spiral`; the tile-line word of
-    `dipping_word`; or the boundary of the digital disk of `_disk`, of
-    about 10^6 letters."""
+    `dipping_word`; or the boundary of the Gauss-digitized disk of radius
+    125,000, 1,000,004 letters."""
     if kind == "dips":
         return dipping_word(n, 20)
     if kind == "disk":
-        return _disk(125_000)
+        return gauss_disk(125_000)
     if kind.startswith("comb"):
         teeth = (n - 2) // 962
         tooth = "1" * 480 + "0" + "3" * 480 + "0"
@@ -83,23 +86,6 @@ def _spiral(n, side=1470):
         k += 1
     sides.append(str(k % 4) * (n - total))
     return "".join(sides), total + length(k) + 2
-
-
-def _disk(r):
-    """Counterclockwise boundary word of the Gauss digitization of the disk
-    of radius r: the unit cells centred on the lattice points within it,
-    column x spanning rows -h..h with h = isqrt(r^2 - x^2).  Bottom profile
-    left to right, right side, top profile right to left, left side: 8r + 4
-    letters."""
-    h = [math.isqrt(r * r - x * x) for x in range(-r, r + 1)]
-    word = []
-    for a, b in zip(h, h[1:]):  # bottoms -a, then -b
-        word.append("0" + ("3" * (b - a) if b > a else "1" * (a - b)))
-    word.append("0" + "1" * (2 * h[-1] + 1))
-    for a, b in zip(h[::-1], h[-2::-1]):  # tops a + 1, then b + 1
-        word.append("2" + ("1" * (b - a) if b > a else "3" * (a - b)))
-    word.append("2" + "3" * (2 * h[0] + 1))
-    return "".join(word)
 
 
 # Straight runs cross whole tile lines along all four letters in the turned

@@ -10,7 +10,14 @@ from gridwords import (
     hat,
     square_count,
 )
-from helpers import bn_factorizations_oracle, reconstruct
+from gridwords.tiling import _even_radii
+from helpers import (
+    bn_factorizations_oracle,
+    even_radii_brute,
+    fibonacci_snowflake,
+    gauss_disk,
+    reconstruct,
+)
 
 polyominoes = st.builds(
     gen_random_polyomino,
@@ -50,3 +57,29 @@ def test_search_equals_oracle(word):
         assert [(f.cuts, f.blocks) for f in bn_factorizations(w)] == (
             bn_factorizations_oracle(w)
         )
+
+
+@given(st.text("ab", max_size=60) | st.text("abc", max_size=60))
+def test_even_radii_against_brute_force(z):
+    assert _even_radii(z) == even_radii_brute(z)
+
+
+def _search_word(w):
+    """The word the search takes radii of: each letter's antipode, then the
+    letter turned by 2."""
+    h = len(w) // 2
+    turned = w.translate(str.maketrans("0123", "2301"))
+    return "".join(a + b for a, b in zip(w[h:] + w[:h], turned))
+
+
+def test_even_radii_at_every_centre_of_search_words():
+    for w in (
+        "010121232303",
+        "0" * 7 + "1" * 7 + "2" * 7 + "3" * 7,
+        "0" * 9 + "1" + "2" * 9 + "3",
+        fibonacci_snowflake(9),
+        gauss_disk(6),
+        gen_random_polyomino(30, 1),
+    ):
+        z = _search_word(w)
+        assert _even_radii(z) == even_radii_brute(z), w
