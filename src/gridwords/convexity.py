@@ -8,9 +8,16 @@ cross-validates it lives with the tests.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .chain import orient_ccw, rotate, trace
+from .chain import _ROT, orient_ccw
 from .lyndon import is_christoffel, lyndon_factorize
+
+# Steps of the prefix keys x*2^32 + y, and of the turned keys -y*2^32 + x
+# (the point turned a quarter turn counterclockwise).  Key order is the
+# lexicographic order of the points while |x| and |y| stay below 2^31.
+_KEY = {"0": 1 << 32, "1": 1, "2": -(1 << 32), "3": -1}.__getitem__
+_TURNED_KEY = {"0": 1, "1": -(1 << 32), "2": -1, "3": 1 << 32}.__getitem__
 
 
 def is_nw_convex(word):
@@ -43,26 +50,42 @@ class ExtremalSplit:
     n: tuple
 
 
+def _decode(key):
+    """(high, low) halves of a key high*2^32 + low with |low| < 2^31."""
+    high = (key + (1 << 31)) >> 32
+    return high, key - (high << 32)
+
+
 def split_extremal(word):
     """Split a boundary word at W, S, E, N (ccw; auto-orients via hat).
 
     W is the lowest point of the left side of the bounding box, S the
     rightmost of the bottom, E the highest of the right, N the leftmost of
-    the top; counterclockwise traversal meets them in that order.
+    the top; counterclockwise traversal meets them in that order.  They
+    are read off prefix keys, with no vertex tuples: an `accumulate` of
+    the letters' steps gives each vertex as the integer x*2^32 + y, whose
+    order is that of (x, y), so the least key is W and the greatest E.  A
+    second pass keys each vertex as -y*2^32 + x for N (least) and S
+    (greatest); only one key list is alive at a time.
     """
     ccw = orient_ccw(word)
-    verts = trace(ccw)[:-1]
-    turned = [(-y, x) for x, y in verts]
-    iw, ie = verts.index(min(verts)), verts.index(max(verts))
-    i_n, i_s = turned.index(min(turned)), turned.index(max(turned))
     n = len(ccw)
+    keys = list(accumulate(map(_KEY, ccw), initial=0))
+    low, high = min(keys), max(keys)
+    iw, ie = keys.index(low), keys.index(high)
+    del keys  # free the first list before the second is built
+    keys = list(accumulate(map(_TURNED_KEY, ccw), initial=0))
+    top, bottom = min(keys), max(keys)
+    i_n, i_s = keys.index(top), keys.index(bottom)
+    del keys
     rotated = ccw[iw:] + ccw[:iw]
     cs, ce, cn = (i_s - iw) % n, (ie - iw) % n, (i_n - iw) % n
     if not 0 < cs <= ce <= cn:
         raise ValueError("extremal points out of cyclic order")
     arcs = (rotated[:cs], rotated[cs:ce], rotated[ce:cn], rotated[cn:])
-    wx, wy = verts[iw]
-    corners = [(verts[i][0] - wx, verts[i][1] - wy) for i in (iw, i_s, ie, i_n)]
+    (wx, wy), (ex, ey) = _decode(low), _decode(high)
+    (ny, nx), (sy, sx) = _decode(top), _decode(bottom)  # high halves are -y
+    corners = (0, 0), (sx - wx, -sy - wy), (ex - wx, ey - wy), (nx - wx, -ny - wy)
     return ExtremalSplit(rotated, arcs, *corners)
 
 
@@ -72,14 +95,17 @@ def decide_convexity(word):
     `split` is split_extremal(word).  Each arc is reversed (read clockwise)
     and turned into the {0,1} frame: the arcs W->S, S->E, E->N, N->W carry
     alphabets {0,3}, {0,1}, {1,2}, {2,3}, and the quarter turns (1, 0, 3, 2)
-    are the unique ones sending each into {0,1}.  `factors[i]` is the
-    Lyndon factorization of mapped arc i.  `convex` holds iff every mapped
-    arc is over {0,1} and every factor is a Christoffel word; an arc that
-    leaves {0,1} makes the word non-convex, not an error.  Raises
-    ValueError for non-boundary input.
+    are the unique ones sending each into {0,1}.  The arcs are slices of a
+    word whose letters `split_extremal` has checked, so a `str.translate`
+    turns each.  `factors[i]` is the Lyndon factorization of mapped arc i.
+    `convex` holds iff every mapped arc is over {0,1} and every factor is a
+    Christoffel word; an arc that leaves {0,1} makes the word non-convex,
+    not an error.  Raises ValueError for non-boundary input.
     """
     split = split_extremal(word)
-    mapped = [rotate(arc[::-1], q) for arc, q in zip(split.arcs, (1, 0, 3, 2))]
+    mapped = [
+        arc[::-1].translate(_ROT[q]) for arc, q in zip(split.arcs, (1, 0, 3, 2))
+    ]
     factors = tuple(lyndon_factorize(v) for v in mapped)
     convex = not any(v.strip("01") for v in mapped) and all(
         is_christoffel(f) for arc in factors for f, _ in arc

@@ -32,7 +32,7 @@ def gen_random_polyomino(cells, seed=None):
     """
     if cells < 1:
         raise ValueError("need at least one cell")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     w = 2 * cells + 3
     c = (cells + 1) * (w + 1)
     grown = {c}
@@ -48,7 +48,12 @@ def gen_random_polyomino(cells, seed=None):
 
     misses = 0
     while len(grown) < cells:
-        i = rng.randrange(len(frontier))
+        # randrange(n), inlined: the same draws from the same generator
+        n = len(frontier)
+        k = n.bit_length()
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
         c = frontier[i]
         if c in grown:
             frontier[i] = frontier[-1]

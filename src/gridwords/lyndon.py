@@ -47,15 +47,32 @@ def christoffel(a, b):
     """Lower Christoffel word with a letters 0 and b letters 1.
 
     Discretizes the segment of slope b/a from below; requires gcd(a,b)=1.
+    Built from 01 by the Christoffel morphisms G (1 -> 01) and D~
+    (0 -> 01), which take the word of (a, b) to those of (a + b, b) and
+    (a, a + b): Euclid's algorithm runs (a, b) down to (1, 1), and each
+    run of k equal steps, G^k (1 -> 0^k 1) or D~^k (0 -> 0 1^k), is one
+    `str.replace`, applied innermost first.
     """
     if a < 0 or b < 0 or a + b < 1:
         raise ValueError("need nonnegative counts with a+b >= 1")
     if gcd(a, b) != 1:
         raise ValueError("not primitive")
-    n = a + b
-    return "".join(
-        "0" if (i * b) // n == ((i - 1) * b) // n else "1" for i in range(1, n + 1)
-    )
+    if not a or not b:
+        return "0" if a else "1"
+    runs = []
+    while a != b:  # coprime, so they meet at (1, 1)
+        if a > b:
+            k = (a - 1) // b
+            a -= k * b
+            runs.append(("1", "0" * k + "1"))
+        else:
+            k = (b - 1) // a
+            b -= k * a
+            runs.append(("0", "0" + "1" * k))
+    word = "01"
+    for letter, image in reversed(runs):
+        word = word.replace(letter, image)
+    return word
 
 
 def is_christoffel(word):

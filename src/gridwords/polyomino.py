@@ -80,9 +80,9 @@ def boundary_word(cells):
         raise ValueError("empty cell set")
     cells = set(cells)
     # keys with a one-cell margin all round, so no neighbour wraps a row
-    x0 = min(x for x, _ in cells) - 1
-    y0 = min(y for _, y in cells) - 1
-    w = max(x for x, _ in cells) - x0 + 2
+    xs, ys = zip(*cells)
+    x0, y0 = min(xs) - 1, min(ys) - 1
+    w = max(xs) - x0 + 2
     word, start = _boundary({x - x0 + (y - y0) * w for x, y in cells}, w)
     y, x = divmod(start, w)
     return word, (x + x0, y + y0)

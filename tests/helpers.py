@@ -7,6 +7,7 @@ Lyndon factorization and the flood-fill-and-hull convexity check each
 stand on their own.
 """
 
+import functools
 import math
 from operator import floordiv
 
@@ -162,14 +163,20 @@ def turning_oracle(word, circular=False):
     return turns.count(1), turns.count(-1)
 
 
+@functools.cache
 def boundary_words(perimeter):
-    """Yield every boundary word of the given length, one per fixed polyomino.
+    """Every boundary word of the given length, one per fixed polyomino.
 
+    A tuple, built once per perimeter and shared by every test that asks.
     Canonical form: counterclockwise, first edge along the bottom of the
     lowest-then-leftmost cell, so each word starts with 0, no vertex dips
     below the start row and none sits left of the start on that row.
     Backtracking search over simple closed paths with total turning +4.
     """
+    return tuple(_boundary_walks(perimeter))
+
+
+def _boundary_walks(perimeter):
     n = perimeter
     if n < 4 or n % 2:
         return
@@ -193,8 +200,9 @@ def boundary_words(perimeter):
                 continue
             if (nx, ny) in seen:
                 continue
-            # +4 total turning is out of reach if too few letters remain
-            if t + (n - depth) < 4:
+            # +4 total turning, or the start, is out of reach if too few
+            # letters remain
+            if t + (n - depth) < 4 or abs(nx) + ny > n - depth - 1:
                 continue
             word.append(b)
             seen.add((nx, ny))
@@ -398,6 +406,36 @@ def _vertices(word):
         y += dy
         out.append((x, y))
     return out
+
+
+def extremal_points_oracle(word):
+    """(word, arcs, w, s, e, n) of a boundary cut at its extremal points,
+    read off the bounding box of its vertex list.
+
+    The word is turned counterclockwise (positive shoelace area) and
+    conjugated to start at W, the lowest vertex on the box's left side.
+    S is the rightmost vertex on the bottom side, E the highest on the
+    right side, N the leftmost on the top side.  The arcs run W->S, S->E,
+    E->N and N->W, and the corners are relative to W.
+    """
+    ccw = word if area_shoelace(word) > 0 else hat(word)
+    points = _vertices(ccw)[:-1]
+    left = min(x for x, _ in points)
+    right = max(x for x, _ in points)
+    bottom = min(y for _, y in points)
+    top = max(y for _, y in points)
+    corners = [
+        (left, min(y for x, y in points if x == left)),
+        (max(x for x, y in points if y == bottom), bottom),
+        (right, max(y for x, y in points if x == right)),
+        (min(x for x, y in points if y == top), top),
+    ]
+    start = points.index(corners[0])
+    cuts = [(points.index(c) - start) % len(ccw) for c in corners] + [len(ccw)]
+    rotated = ccw[start:] + ccw[:start]
+    arcs = tuple(rotated[i:j] for i, j in zip(cuts, cuts[1:]))
+    wx, wy = corners[0]
+    return (rotated, arcs) + tuple((x - wx, y - wy) for x, y in corners)
 
 
 def nw_convex_oracle(word):

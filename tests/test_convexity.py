@@ -1,10 +1,14 @@
+import gc
 import itertools
+import time
+import tracemalloc
 
 import pytest
 
 from gridwords import (
     boundary_word,
     enclosed_cells,
+    gen_random_polyomino,
     hat,
     is_closed,
     is_digitally_convex,
@@ -17,8 +21,14 @@ from helpers import (
     convex_hull,
     convexity_oracle,
     cross,
+    extremal_points_oracle,
+    gauss_disk,
     nw_convex_oracle,
 )
+
+
+def _fields(split):
+    return (split.word, split.arcs, split.w, split.s, split.e, split.n)
 
 
 class TestHull:
@@ -111,6 +121,27 @@ class TestSplitExtremal:
             with pytest.raises(ValueError, match="not a boundary word"):
                 split_extremal(w)
 
+    def test_vs_oracle_on_small_words(self):
+        for n in range(4, 15, 2):
+            for w in boundary_words(n):
+                for v in (w, hat(w)):
+                    for k in (0, n // 3, 2 * n // 3):
+                        c = v[k:] + v[:k]
+                        assert _fields(split_extremal(c)) == extremal_points_oracle(c), c
+
+    def test_vs_oracle_on_generated(self):
+        for k in range(500):
+            w = gen_random_polyomino(1 + k % 120, seed=k)
+            assert _fields(split_extremal(w)) == extremal_points_oracle(w), w
+
+    @pytest.mark.parametrize("r", [250, 1250])
+    def test_vs_oracle_on_disks(self, r):
+        # the disk's bottom row lies r below W, the middle of its left side
+        w = gauss_disk(r)
+        split = split_extremal(w)
+        assert _fields(split) == extremal_points_oracle(w)
+        assert split.s[1] == split.w[1] - r < 0
+
 
 class TestDigitalConvexity:
     def test_frozen_positive(self):
@@ -165,3 +196,45 @@ class TestDigitalConvexity:
         assert len(new_cells) == 36 and new_cells < cells
         assert not is_digitally_convex(dented)
         assert not convexity_oracle(dented)
+
+
+def disk_images(r):
+    """The Gauss disk of radius r, its hat and one conjugate."""
+    word = gauss_disk(r)
+    k = len(word) // 3
+    return word, hat(word), word[k:] + word[:k]
+
+
+@pytest.mark.parametrize("r", [250, 1250])
+def test_gauss_disks_are_convex(r):
+    for w in disk_images(r):
+        assert is_digitally_convex(w)
+
+
+def test_linear_scaling():
+    # disks of 100,004 and 200,004 letters, best of 3 GC-off timings each,
+    # the two timed in turn so that a change in host speed falls on both
+    words = (gauss_disk(12_500), gauss_disk(25_000))
+    times = ([], [])
+    for _ in range(3):
+        for word, ts in zip(words, times):
+            gc.collect()
+            gc.disable()
+            t0 = time.perf_counter()
+            is_digitally_convex(word)
+            ts.append(time.perf_counter() - t0)
+            gc.enable()
+    t1, t2 = map(min, times)
+    assert t2 <= 2.5 * t1, (t1, t2)
+
+
+def test_peak_memory_per_letter():
+    word = gauss_disk(12_500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        is_digitally_convex(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * len(word), peak / len(word)

@@ -87,16 +87,19 @@ class TestFrozenOutput:
 class _StallingRandom:
     """Grows the U {(0,0), (1,0), (2,0), (0,1), (2,1), (0,2), (2,2)}, then
     keeps picking frontier index 11, first the cell (1,2) that would close
-    the U into a hole."""
+    the U into a hole.  The generator draws an index below n as
+    getrandbits(n.bit_length()), again while it is n or more; every
+    scripted index is below the frontier's length, so each pick is one
+    draw."""
 
     def __init__(self, seed=None):
         self.calls = []
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         script = (0, 3, 1, 6, 8, 10)
-        k = script[len(self.calls)] if len(self.calls) < len(script) else 11
-        self.calls.append(n)
-        return min(k, n - 1)
+        i = script[len(self.calls)] if len(self.calls) < len(script) else 11
+        self.calls.append(k)
+        return min(i, (1 << k) - 1)
 
 
 def test_stall_falls_back_to_first_addable_cell(monkeypatch):

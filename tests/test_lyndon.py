@@ -100,8 +100,8 @@ class TestChristoffel:
         assert christoffel(4, 7) == christoffel_staircase(4, 7)
 
     def test_vs_staircase_all_coprime(self):
-        for a in range(0, 30):
-            for b in range(0, 30 - a):
+        for a in range(0, 301):
+            for b in range(0, 301 - a):
                 if (a, b) == (0, 0) or math.gcd(a, b) != 1:
                     continue
                 assert christoffel(a, b) == christoffel_staircase(a, b), (a, b)
@@ -142,6 +142,17 @@ class TestIsChristoffel:
             is_christoffel("")
         with pytest.raises(ValueError):
             is_christoffel("012")
+
+    def test_exhaustive_binary_vs_staircase(self):
+        staircase = {}
+        for n in range(1, 15):
+            for tup in itertools.product("01", repeat=n):
+                w = "".join(tup)
+                a, b = w.count("0"), w.count("1")
+                if (a, b) not in staircase:
+                    primitive = math.gcd(a, b) == 1
+                    staircase[a, b] = primitive and christoffel_staircase(a, b)
+                assert is_christoffel(w) == (w == staircase[a, b]), w
 
     def test_exhaustive_binary_vs_reconstruction(self):
         for n in range(1, 13):

@@ -2,7 +2,8 @@
 
 The symmetry laws of `test_symmetry_laws.py` on 1,500 seeded shapes, the
 word-route convexity verdict against the fill-and-hull oracle on every
-boundary word of perimeter 16 and 18, and the quadtree walk against the
+boundary word of perimeter 16 and 18, the known convex verdict on Gauss
+disks of 10^5 and 10^6 letters, and the quadtree walk against the
 hash-set walk on 2^20-letter paths, whose trees outgrow their first
 storage many times over and whose straight runs cross tiles whole.
 """
@@ -23,6 +24,7 @@ from helpers import (
     first_intersection_oracle,
     gauss_disk,
 )
+from test_convexity import disk_images
 from test_quadgraph import dipping_word
 from test_symmetry_laws import images
 
@@ -45,6 +47,12 @@ def test_symmetry_laws_on_seeded_shapes():
 def test_convexity_routes_agree_exhaustively(perimeter):
     for w in boundary_words(perimeter):
         assert is_digitally_convex(w) == convexity_oracle(w), w
+
+
+@pytest.mark.parametrize("r", [12_500, 125_000])
+def test_large_gauss_disks_are_convex(r):
+    for w in disk_images(r):
+        assert is_digitally_convex(w)
 
 
 def _long_walk(kind, n=1 << 20):
