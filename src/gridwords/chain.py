@@ -24,10 +24,9 @@ _REF = tuple(
     for i in range(4)
 )
 
-# Letter pairs that turn left (difference 1) and right (difference 3), and
-# the pairs that cancel (difference 2).
+# Letter pairs that turn left (difference 1), and the pairs that cancel
+# (difference 2).
 _LEFT = ("01", "12", "23", "30")
-_RIGHT = ("03", "10", "21", "32")
 _HALF = ("02", "20", "13", "31")
 _CANCEL = re.compile("|".join(_HALF).encode())
 
@@ -151,48 +150,48 @@ class TurningNumber:
 
 
 def _turns(word, circular):
-    """(left, right) turns of a word with no cancelling pair, read cyclically
-    if circular: the counts of its turning bigrams.  str.count is exact, as
-    a bigram of two different letters cannot overlap itself."""
+    """Quarter turns of a word with no cancelling pair, seam included if
+    circular.  Each first difference b - a is its turn, 0 or +-1, except
+    across the wrap: 30 turns left and 03 right.  So the turns telescope to
+    last - first + 4 (#30 - #03); neither bigram can overlap itself."""
     if circular and word:
         word += word[0]
-    return sum(map(word.count, _LEFT)), sum(map(word.count, _RIGHT))
+    if not word:
+        return 0
+    return ord(word[-1]) - ord(word[0]) + 4 * (word.count("30") - word.count("03"))
 
 
 def turning_number(word, circular=False):
     """Left turns minus right turns of the reduced word, in quarter turns.
 
-    Counts of the turning bigrams of reduce(word, circular), which has no
-    cancelling pair, so no letter pair is a half turn.  The circular flag
-    requires a closed word and counts the seam too.
+    `_turns` of reduce(word, circular), which has no cancelling pair, so no
+    letter pair is a half turn.  The circular flag requires a closed word
+    and counts the seam too.
     """
     if circular and not is_closed(word):
         raise ValueError("not closed")
-    left, right = _turns(reduce(word, circular), circular)
-    return TurningNumber(left - right)
+    return TurningNumber(_turns(reduce(word, circular), circular))
 
 
 def path_facts(word):
     """(closed, simple, turning, corners) of a path, from one walk.
 
-    corners is (S, R) for a boundary word, else None.  A simple word with
-    a revisit is closed and longer than 2 (`simple_from_revisit`), so it
-    has no cancelling pair, even across the seam: T and (S, R) need no
-    `reduce`, and one count of its turning bigrams, seam included, gives
-    both.  A word with no revisit has no cancelling pair either, and never
-    returns to its start unless it is empty, so T is the count of its
-    turning bigrams.
+    `closed` comes from the letter counts.  A simple word has no cancelling
+    pair, and a simple closed word none across its seam either, since a
+    last step that undid the first would revisit the first vertex early; so
+    only a word that is not simple is reduced before `_turns` counts T, read
+    cyclically when closed.  corners is (S, R) for a boundary word, a
+    non-empty closed simple word, else None: its left turns L, seam
+    included, and its right turns L - T.
     """
-    hit = detect_first_intersection(word)
-    if hit is None:
-        left, right = _turns(word, False)
-        return not word, True, TurningNumber(left - right), None
-    if simple_from_revisit(word, hit):  # closed, simple and longer than 2
-        left, right = _turns(word, True)
-        corners = max(left, right), min(left, right)
-        return True, True, TurningNumber(left - right), corners
+    simple = simple_from_revisit(word, detect_first_intersection(word))
     closed = is_closed(word)
-    return closed, False, turning_number(word, circular=closed), None
+    turning = _turns(word if simple else reduce(word, closed), closed)
+    corners = None
+    if closed and simple and word:
+        left = sum(map((word + word[0]).count, _LEFT))
+        corners = max(left, left - turning), min(left, left - turning)
+    return closed, simple, TurningNumber(turning), corners
 
 
 def orient_ccw(word):

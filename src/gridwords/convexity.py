@@ -26,8 +26,6 @@ def is_nw_convex(word):
     True iff every Lyndon factor is a Christoffel word; the empty word is
     convex.
     """
-    if not word:
-        return True
     bad = word.strip("01")
     if bad:
         raise ValueError(f"letter outside {{0,1}}: {bad[0]!r}")

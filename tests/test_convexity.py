@@ -22,6 +22,7 @@ from helpers import (
     convexity_oracle,
     cross,
     extremal_points_oracle,
+    fill_cells,
     gauss_disk,
     nw_convex_oracle,
 )
@@ -209,6 +210,30 @@ def disk_images(r):
 def test_gauss_disks_are_convex(r):
     for w in disk_images(r):
         assert is_digitally_convex(w)
+
+
+@pytest.mark.parametrize(
+    "r", [10, 25, pytest.param(40, marks=pytest.mark.slow), pytest.param(60, marks=pytest.mark.slow)]
+)
+def test_one_cell_removals_from_a_disk(r):
+    """Each boundary cell c of a Gauss disk S taken out in turn: S - {c} is
+    convex exactly when c lies outside the hull of the rest, and the word
+    route, on the contour and on its hat, agrees with fill-and-hull."""
+    cells = fill_cells(gauss_disk(r))
+    verdicts = set()
+    for x, y in sorted(cells):
+        if {(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)} <= cells:
+            continue
+        rest = cells - {(x, y)}
+        try:
+            word, _ = boundary_word(rest)
+        except ValueError:  # the rest is not one simply connected piece
+            continue
+        convex = is_digitally_convex(word)
+        assert convex == is_digitally_convex(hat(word)) == convexity_oracle(word), (x, y)
+        assert convex != (convex_hull(rest | {(x, y)}) == convex_hull(rest)), (x, y)
+        verdicts.add(convex)
+    assert verdicts == {False, True}
 
 
 def test_linear_scaling():

@@ -1,5 +1,6 @@
 """path_facts against the oracles, and one walk per boundary verdict."""
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -20,7 +21,19 @@ from gridwords import (
     turning_number,
 )
 from gridwords.chain import path_facts
-from helpers import area_shoelace, boundary_words, corner_counts, first_intersection_oracle
+from helpers import (
+    area_shoelace,
+    boundary_words,
+    corner_counts,
+    first_intersection_oracle,
+    gauss_disk,
+    turning_oracle,
+)
+
+
+def oracle_quarter_turns(word, circular):
+    left, right = turning_oracle(word, circular)
+    return left - right
 
 
 def check_against_oracles(word):
@@ -36,6 +49,7 @@ def check_against_oracles(word):
     hit = first_intersection_oracle(word)
     assert simple == (hit is None or (hit[0] == len(word) > 2 and closed))
     assert turning == turning_number(word, circular=closed)  # the reduce route
+    assert turning.quarter_turns == oracle_quarter_turns(word, closed)
     if not (closed and simple and len(word) > 2):
         assert corners is None
         for verdict in (orient_ccw, salient_reentrant) if closed else ():
@@ -100,8 +114,28 @@ def test_turning_matches_the_reduce_route_on_seeded_words():
             word = "".join(rng.choices("0123", k=n))
         closed, _, turning, _ = path_facts(word)
         assert turning == turning_number(word, circular=closed), word
+        assert turning.quarter_turns == oracle_quarter_turns(word, closed), word
         open_words += first_intersection_oracle(word) is None
     assert open_words >= 1500  # the self-avoiding half, at least
+    # 10^4-letter words dense in cancelling pairs: random ones, each letter
+    # undoing the one before half the time, and closed ones, shuffled
+    # balanced letter multisets
+    for k in range(20):
+        if k % 2:
+            pairs = rng.randrange(5001)
+            letters = list("02" * pairs + "13" * (5000 - pairs))
+            rng.shuffle(letters)
+        else:
+            letters = [rng.choice("0123")]
+            for _ in range(9999):
+                undo = rng.random() < 0.5
+                letters.append("2301"[int(letters[-1])] if undo else rng.choice("0123"))
+        word = "".join(letters)
+        closed = is_closed(word)
+        assert closed or not k % 2
+        for circular in (False, True) if closed else (False,):
+            turning = turning_number(word, circular=circular).quarter_turns
+            assert turning == oracle_quarter_turns(word, circular), (k, circular)
 
 
 def test_short_loops_have_no_corners():
@@ -129,7 +163,36 @@ def calls(monkeypatch):
     return counts
 
 
-BOUNDARIES = ("0123", "00121233", hat("00121233"), gen_random_polyomino(40, 3))
+BOUNDARIES = (
+    "0123",
+    "00121233",
+    hat("00121233"),
+    gen_random_polyomino(40, 3),
+    pytest.param(gauss_disk(250), id="gauss_disk-250"),
+)
+
+
+def _spiral(runs, turn):
+    """The open square spiral: run k of k//2 + 1 letters in direction
+    turn*k mod 4, counterclockwise for turn 1 and clockwise for turn 3.  It
+    is simple, and turns runs - 1 times, every time the same way."""
+    return "".join(str(turn * k % 4) * (k // 2 + 1) for k in range(runs))
+
+
+# spirals of 100,172 and 1,001,000 letters, and their known quarter turns
+KNOWN_TURNS = {
+    _spiral(runs, turn): sign * (runs - 1)
+    for runs in (632, 2000)
+    for turn, sign in ((1, 1), (3, -1))
+}
+SPIRALS = [
+    pytest.param(
+        word,
+        id=f"spiral-{len(word)}-{'ccw' if turns > 0 else 'cw'}",
+        marks=[pytest.mark.slow] if len(word) > 10**6 else [],
+    )
+    for word, turns in KNOWN_TURNS.items()
+]
 
 
 @pytest.mark.parametrize("word", BOUNDARIES)
@@ -139,13 +202,17 @@ def test_analyze_walks_a_boundary_word_once_without_reduce(word, calls, capsys):
     assert " S=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("word", ("002", "0011", "02", ""))
+@pytest.mark.parametrize("word", ("002", "0011", "02", "", *SPIRALS))
 def test_analyze_walks_other_words_once(word, calls, capsys):
     cli.main(["analyze", word])
     # a word with no revisit has no cancelling pair, so it needs no reduce
     reduces = 0 if first_intersection_oracle(word) is None else 1
     assert calls == {"walk": 1, "reduce": reduces}
-    assert " S=" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert " S=" not in out
+    turns = oracle_quarter_turns(word, is_closed(word))
+    assert turns == KNOWN_TURNS.get(word, turns)
+    assert out.endswith(f" T={Fraction(turns, 4)}\n")
 
 
 @pytest.mark.parametrize("verdict", (orient_ccw, salient_reentrant))
