@@ -1,7 +1,7 @@
 """Plain-text chain files: one record per line, `[name:] word [@ x y]`.
 
 `#` starts a comment; whitespace inside the word is ignored; labels must
-be unique.  UTF-8, LF or CRLF.
+be unique and come before any `@`.  UTF-8, LF or CRLF.
 """
 
 import re
@@ -39,7 +39,9 @@ def parse_chain_file(data):
             continue
         body_start = 0
         name = None
-        colon = line.find(":")
+        at = line.find("@")
+        word_end = len(line) if at == -1 else at
+        colon = line.find(":", 0, word_end)
         if colon != -1:
             name = line[:colon].strip()
             if not _NAME.fullmatch(name):
@@ -48,8 +50,6 @@ def parse_chain_file(data):
                 raise ChainFileError(f"duplicate label {name!r}", lineno)
             labels.add(name)
             body_start = colon + 1
-        at = line.find("@", body_start)
-        word_end = len(line) if at == -1 else at
         body = line[body_start:word_end]
         word = "".join(body.split())
         if sum(map(word.count, "0123")) != len(word):  # strip only to name it

@@ -12,6 +12,7 @@ from itertools import accumulate
 
 from .chain import _ROT, orient_ccw
 from .lyndon import is_christoffel, lyndon_factorize
+from .quadgraph import _point_after
 
 # Steps of the prefix keys x*2^32 + y, and of the turned keys -y*2^32 + x
 # (the point turned a quarter turn counterclockwise).  Key order is the
@@ -36,8 +37,8 @@ def is_nw_convex(word):
 class ExtremalSplit:
     """Counterclockwise boundary cut at its four extremal points.
 
-    `word` is the ccw boundary conjugated to start at W; coordinates are
-    relative to tracing `word` from (0,0), hence w == (0,0).
+    `word` is the ccw boundary conjugated to start at W; each corner is the
+    prefix letter counts (#0 - #2, #1 - #3) of `word` up to it, so w == (0,0).
     """
 
     word: str
@@ -48,43 +49,34 @@ class ExtremalSplit:
     n: tuple
 
 
-def _decode(key):
-    """(high, low) halves of a key high*2^32 + low with |low| < 2^31."""
-    high = (key + (1 << 31)) >> 32
-    return high, key - (high << 32)
-
-
 def split_extremal(word):
     """Split a boundary word at W, S, E, N (ccw; auto-orients via hat).
 
     W is the lowest point of the left side of the bounding box, S the
     rightmost of the bottom, E the highest of the right, N the leftmost of
     the top; counterclockwise traversal meets them in that order.  They
-    are read off prefix keys, with no vertex tuples: an `accumulate` of
+    are picked from prefix keys, with no vertex tuples: an `accumulate` of
     the letters' steps gives each vertex as the integer x*2^32 + y, whose
     order is that of (x, y), so the least key is W and the greatest E.  A
     second pass keys each vertex as -y*2^32 + x for N (least) and S
-    (greatest); only one key list is alive at a time.
+    (greatest); only one key list is alive at a time.  The corners are the
+    prefix letter counts of the word rotated to start at W.
     """
     ccw = orient_ccw(word)
     n = len(ccw)
     keys = list(accumulate(map(_KEY, ccw), initial=0))
-    low, high = min(keys), max(keys)
-    iw, ie = keys.index(low), keys.index(high)
+    iw, ie = keys.index(min(keys)), keys.index(max(keys))
     del keys  # free the first list before the second is built
     keys = list(accumulate(map(_TURNED_KEY, ccw), initial=0))
-    top, bottom = min(keys), max(keys)
-    i_n, i_s = keys.index(top), keys.index(bottom)
+    i_n, i_s = keys.index(min(keys)), keys.index(max(keys))
     del keys
     rotated = ccw[iw:] + ccw[:iw]
     cs, ce, cn = (i_s - iw) % n, (ie - iw) % n, (i_n - iw) % n
     if not 0 < cs <= ce <= cn:
         raise ValueError("extremal points out of cyclic order")
     arcs = (rotated[:cs], rotated[cs:ce], rotated[ce:cn], rotated[cn:])
-    (wx, wy), (ex, ey) = _decode(low), _decode(high)
-    (ny, nx), (sy, sx) = _decode(top), _decode(bottom)  # high halves are -y
-    corners = (0, 0), (sx - wx, -sy - wy), (ex - wx, ey - wy), (nx - wx, -ny - wy)
-    return ExtremalSplit(rotated, arcs, *corners)
+    corners = (_point_after(rotated, c) for c in (cs, ce, cn))
+    return ExtremalSplit(rotated, arcs, (0, 0), *corners)
 
 
 def decide_convexity(word):

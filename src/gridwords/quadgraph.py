@@ -252,19 +252,22 @@ def letter_counts(word):
     return counts
 
 
+def _point_after(word, i):
+    """The point word[:i] reaches from (0,0), (#0 - #2, #1 - #3), unsliced."""
+    count = word.count
+    return count("0", 0, i) - count("2", 0, i), count("1", 0, i) - count("3", 0, i)
+
+
 def detect_first_intersection(word):
     """First revisited point of the path, as (1-based letter index, point).
 
     Returns None when all visited points are distinct.  A closed word's
     final return to its start counts as a revisit; callers that allow
     closure must check the index themselves.  Points are reported in the
-    original frame (path started at (0,0)), read off the letter counts of
-    the prefix walked.  The walk starts at (number of 2s, number of 3s),
-    which no prefix can take out of the first quadrant.
+    original frame (path started at (0,0)), as the prefix letter counts
+    (#0 - #2, #1 - #3) of the letters walked.  The walk starts at (number
+    of 2s, number of 3s), which no prefix can take out of the quadrant.
     """
     start = letter_counts(word)[2:]
     i = QuadGraph(start)._first_revisit(word.encode().translate(_CODES))
-    if i is None:
-        return None
-    head = word[:i]
-    return i, (head.count("0") - head.count("2"), head.count("1") - head.count("3"))
+    return None if i is None else (i, _point_after(word, i))

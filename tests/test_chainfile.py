@@ -89,6 +89,24 @@ class TestErrors:
         with pytest.raises(ChainFileError, match="two integers"):
             parse_chain_file("w: 0123 @ 1 b\n")
 
+    @pytest.mark.parametrize("label", ["1a", "a b", ""])
+    def test_bad_label(self, label):
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file(f"ok: 0123\n{label}: 01\n")
+        assert excinfo.value.line == 2 and excinfo.value.column is None
+        assert str(excinfo.value) == f"line 2: bad label {label!r}"
+
+    def test_label_comes_before_any_at(self):
+        # a colon past the first @ belongs to the start point, not a label
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("0123 @ 1:2\n")
+        assert str(excinfo.value) == "line 1: start point needs two integers"
+        # an @ before the colon ends the word there, so `a` is its letter
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("a@b: 01\n")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 1)
+        assert "invalid character 'a'" in str(excinfo.value)
+
     def test_is_value_error(self):
         # callers that only care about failure can catch ValueError
         with pytest.raises(ValueError):

@@ -93,6 +93,13 @@ class TestInputHandling:
         assert rc == 2
         assert "line 1, column 4" in err
 
+    def test_file_bad_label(self, capsys, tmp_path):
+        f = tmp_path / "bad.chain"
+        f.write_text("sq: 0123\n1a: 0123\n")
+        rc, out, err = run(capsys, "analyze", str(f))
+        assert rc == 2 and out == ""
+        assert "line 2: bad label '1a'" in err
+
 
 class TestIntersect:
     def test_hit(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -76,15 +77,18 @@ class TestFactorize:
         rng = random.Random(22)
         base = "".join(rng.choice("01") for _ in range(1_000_000))
 
-        # best of 3 each, the two words timed in turn so that a change in
-        # host speed falls on both alike
+        # best of 7 GC-off timings each, the two words timed in turn so that
+        # a change in host speed falls on both alike
         words = (base, base + base[::-1])
         times = ([], [])
-        for _ in range(3):
+        for _ in range(7):
             for word, ts in zip(words, times):
+                gc.collect()
+                gc.disable()
                 t0 = time.perf_counter()
                 lyndon_factorize(word)
                 ts.append(time.perf_counter() - t0)
+                gc.enable()
         t1, t2 = map(min, times)
         assert t2 <= 2.5 * max(t1, 1e-4), (t1, t2)
 
