@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lyndon import lyndon_factorize
-from .quadgraph import detect_first_intersection, letter_counts
+from .quadgraph import _walk, detect_first_intersection, letter_counts
 
 ALPHABET = "0123"
 STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -103,10 +103,15 @@ def reduce(word, circular=False):
     return out[lo:hi].decode()
 
 
+def _balanced(counts):
+    """True iff letter counts (#0, #1, #2, #3) bring a path back to its start."""
+    right, up, left, down = counts
+    return right == left and up == down
+
+
 def is_closed(word):
     """True iff the path returns to its start (letter counts balance)."""
-    right, up, left, down = letter_counts(word)
-    return right == left and up == down
+    return _balanced(letter_counts(word))
 
 
 def simple_from_revisit(word, hit):
@@ -176,16 +181,18 @@ def turning_number(word, circular=False):
 def path_facts(word):
     """(closed, simple, turning, corners) of a path, from one walk.
 
-    `closed` comes from the letter counts.  A simple word has no cancelling
-    pair, and a simple closed word none across its seam either, since a
-    last step that undid the first would revisit the first vertex early; so
-    only a word that is not simple is reduced before `_turns` counts T, read
-    cyclically when closed.  corners is (S, R) for a boundary word, a
-    non-empty closed simple word, else None: its left turns L, seam
-    included, and its right turns L - T.
+    The walk is shared with the other verdicts called on the same word
+    object, and `closed` comes from the letter counts that seed it.  A
+    simple word has no cancelling pair, and a simple closed word none
+    across its seam either, since a last step that undid the first would
+    revisit the first vertex early; so only a word that is not simple is
+    reduced before `_turns` counts T, read cyclically when closed.  corners
+    is (S, R) for a boundary word, a non-empty closed simple word, else
+    None: its left turns L, seam included, and its right turns L - T.
     """
-    simple = simple_from_revisit(word, detect_first_intersection(word))
-    closed = is_closed(word)
+    counts, hit = _walk(word)
+    simple = simple_from_revisit(word, hit)
+    closed = _balanced(counts)
     turning = _turns(word if simple else reduce(word, closed), closed)
     corners = None
     if closed and simple and word:

@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from .chain import _ROT, orient_ccw
 from .lyndon import is_christoffel, lyndon_factorize
-from .quadgraph import _point_after
+from .quadgraph import _point_after, _remember_last
 
 # Steps of the prefix keys x*2^32 + y, and of the turned keys -y*2^32 + x
 # (the point turned a quarter turn counterclockwise).  Key order is the
@@ -49,6 +49,7 @@ class ExtremalSplit:
     n: tuple
 
 
+@_remember_last
 def split_extremal(word):
     """Split a boundary word at W, S, E, N (ccw; auto-orients via hat).
 
@@ -61,6 +62,10 @@ def split_extremal(word):
     second pass keys each vertex as -y*2^32 + x for N (least) and S
     (greatest); only one key list is alive at a time.  The corners are the
     prefix letter counts of the word rotated to start at W.
+
+    Remembers its last word: verdicts called on one word object, such as
+    this and is_digitally_convex, share one split, and the last word and
+    its split (about twice the word) stay alive until the next call.
     """
     ccw = orient_ccw(word)
     n = len(ccw)

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from gridwords import (
+    bn_factorizations,
     chain,
     cli,
     enclosed_cells,
@@ -144,25 +145,6 @@ def test_short_loops_have_no_corners():
         assert path_facts(word) == (True, False, chain.TurningNumber(0), None)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of quadtree walks and reduce calls made through gridwords.chain."""
-    counts = {"walk": 0, "reduce": 0}
-    walk, reduce = chain.detect_first_intersection, chain.reduce
-
-    def counted_walk(word):
-        counts["walk"] += 1
-        return walk(word)
-
-    def counted_reduce(word, circular=False):
-        counts["reduce"] += 1
-        return reduce(word, circular)
-
-    monkeypatch.setattr(chain, "detect_first_intersection", counted_walk)
-    monkeypatch.setattr(chain, "reduce", counted_reduce)
-    return counts
-
-
 BOUNDARIES = (
     "0123",
     "00121233",
@@ -198,7 +180,7 @@ SPIRALS = [
 @pytest.mark.parametrize("word", BOUNDARIES)
 def test_analyze_walks_a_boundary_word_once_without_reduce(word, calls, capsys):
     assert cli.main(["analyze", word]) == 0
-    assert calls == {"walk": 1, "reduce": 0}
+    assert calls == {"walk": 1, "reduce": 0, "key_passes": 0}
     assert " S=" in capsys.readouterr().out
 
 
@@ -207,7 +189,7 @@ def test_analyze_walks_other_words_once(word, calls, capsys):
     cli.main(["analyze", word])
     # a word with no revisit has no cancelling pair, so it needs no reduce
     reduces = 0 if first_intersection_oracle(word) is None else 1
-    assert calls == {"walk": 1, "reduce": reduces}
+    assert calls == {"walk": 1, "reduce": reduces, "key_passes": 0}
     out = capsys.readouterr().out
     assert " S=" not in out
     turns = oracle_quarter_turns(word, is_closed(word))
@@ -219,15 +201,48 @@ def test_analyze_walks_other_words_once(word, calls, capsys):
 @pytest.mark.parametrize("word", BOUNDARIES)
 def test_orientation_and_corners_walk_once(verdict, word, calls):
     verdict(word)
-    assert calls == {"walk": 1, "reduce": 0}
+    assert calls == {"walk": 1, "reduce": 0, "key_passes": 0}
 
 
 @pytest.mark.parametrize("word", BOUNDARIES)
 def test_one_shapes_operation_reduces_once(word, calls):
+    # the verdicts of one shapes operation, on one word object, share one
+    # walk and one split
     is_closed(word)
     is_simple(word)
     turning_number(word, circular=True)
     salient_reentrant(word)
     split_extremal(word)
     is_digitally_convex(word)
-    assert calls == {"walk": 4, "reduce": 1}
+    assert calls == {"walk": 1, "reduce": 1, "key_passes": 2}
+
+
+@pytest.mark.parametrize("command", ("analyze", "intersect", "convex"))
+def test_each_cli_record_is_walked_once(command, calls, capsys):
+    # three equal words, each its own object, are three records
+    word = "00121233"
+    words = [word[:k] + word[k:] for k in (1, 2, 3)]
+    assert len({id(w) for w in words}) == 3
+    assert cli.main([command, *words]) == 0
+    assert calls == {
+        "walk": 3,
+        "reduce": 0,
+        "key_passes": 6 if command == "convex" else 0,
+    }
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+# a square, a domino read both ways, the plus pentomino and a 100x100 square
+TILES = (
+    "0123",
+    "00121233",
+    hat("00121233"),
+    "010121232303",
+    "".join(c * 100 for c in "0123"),
+)
+
+
+@pytest.mark.parametrize("word", TILES)
+def test_a_tiling_search_walks_once(word, calls):
+    assert bn_factorizations(word)
+    assert calls == {"walk": 1, "reduce": 0, "key_passes": 0}
