@@ -83,7 +83,11 @@ def reduce(word, circular=False):
     cancellation.  Free reduction is confluent, so the order of the
     cancellations does not matter.
     """
-    _validate(word)
+    return _reduce(_validate(word), circular)
+
+
+def _reduce(word, circular):
+    """reduce on a word whose letters the caller has already checked."""
     if not any(pair in word for pair in _HALF) and not (
         circular and word and (ord(word[0]) - ord(word[-1])) % 4 == 2
     ):
@@ -171,11 +175,13 @@ def turning_number(word, circular=False):
 
     `_turns` of reduce(word, circular), which has no cancelling pair, so no
     letter pair is a half turn.  The circular flag requires a closed word
-    and counts the seam too.
+    and counts the seam too.  The letters are counted once, for both the
+    check and the closure test.
     """
-    if circular and not is_closed(word):
+    counts = letter_counts(word)
+    if circular and not _balanced(counts):
         raise ValueError("not closed")
-    return TurningNumber(_turns(reduce(word, circular), circular))
+    return TurningNumber(_turns(_reduce(word, circular), circular))
 
 
 def path_facts(word):
@@ -193,7 +199,7 @@ def path_facts(word):
     counts, hit = _walk(word)
     simple = simple_from_revisit(word, hit)
     closed = _balanced(counts)
-    turning = _turns(word if simple else reduce(word, closed), closed)
+    turning = _turns(word if simple else _reduce(word, closed), closed)
     corners = None
     if closed and simple and word:
         left = sum(map((word + word[0]).count, _LEFT))

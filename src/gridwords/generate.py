@@ -34,48 +34,59 @@ def gen_random_polyomino(cells, seed=None):
         raise ValueError("need at least one cell")
     bits = random.Random(seed).getrandbits
     w = 2 * cells + 3
+    ne, nw = w + 1, w - 1  # the ring's offsets are +-1, +-ne, +-w and +-nw
     c = (cells + 1) * (w + 1)
     grown = {c}
     frontier = [c + 1, c + w, c - 1, c - w]
-
-    def addable(c):
-        return _ADDABLE[
-            (c + 1 in grown) | (c + 1 + w in grown) << 1
-            | (c + w in grown) << 2 | (c - 1 + w in grown) << 3
-            | (c - 1 in grown) << 4 | (c - 1 - w in grown) << 5
-            | (c - w in grown) << 6 | (c + 1 - w in grown) << 7
-        ]
-
+    append = frontier.append
+    left = cells - 1
     misses = 0
-    while len(grown) < cells:
-        # randrange(n), inlined: the same draws from the same generator
-        n = len(frontier)
-        k = n.bit_length()
-        i = bits(k)
-        while i >= n:
+    while left:
+        if misses <= 64:
+            # randrange(n), inlined: the same draws from the same generator
+            n = len(frontier)
+            k = n.bit_length()
             i = bits(k)
-        c = frontier[i]
-        if c in grown:
-            frontier[i] = frontier[-1]
-            frontier.pop()
-            continue
-        if not addable(c):
-            misses += 1
-            if misses <= 64:
+            while i >= n:
+                i = bits(k)
+            c = frontier[i]
+            if c in grown:
+                frontier[i] = frontier[-1]
+                frontier.pop()
                 continue
-            # Rare stall on pathological perimeters; fall back to the first
-            # addable candidate, which always exists (e.g. beside the top
-            # of the rightmost column).
-            for i, c in enumerate(frontier):
-                if c not in grown and addable(c):
-                    break
-            else:
+        else:
+            # Rare stall on pathological perimeters: after 65 misses in a
+            # row, try the candidates in frontier order, the one at index
+            # misses - 65 next.  An addable one always exists (e.g. beside
+            # the top of the rightmost column).
+            i = misses - 65
+            if i == len(frontier):
                 raise RuntimeError("no addable perimeter cell")
+            c = frontier[i]
+            if c in grown:
+                misses += 1
+                continue
+        ring = (
+            (c + 1 in grown) | (c + ne in grown) << 1
+            | (c + w in grown) << 2 | (c + nw in grown) << 3
+            | (c - 1 in grown) << 4 | (c - ne in grown) << 5
+            | (c - w in grown) << 6 | (c - nw in grown) << 7
+        )
+        if not _ADDABLE[ring]:
+            misses += 1
+            continue
         misses = 0
         frontier[i] = frontier[-1]
         frontier.pop()
         grown.add(c)
-        for m in (c + 1, c + w, c - 1, c - w):
-            if m not in grown:
-                frontier.append(m)
+        left -= 1
+        # the edge neighbours not yet grown, read off the ring
+        if not ring & 1:
+            append(c + 1)
+        if not ring & 4:
+            append(c + w)
+        if not ring & 16:
+            append(c - 1)
+        if not ring & 64:
+            append(c - w)
     return _boundary(grown, w)[0]

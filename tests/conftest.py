@@ -30,17 +30,19 @@ def _forget_last_words():
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of real work below the shared-scan memos: quadtree walks (trees
-    built), reduce calls made through gridwords.chain, and the prefix-key
-    passes of split_extremal (two per split)."""
+    built), reductions made in gridwords.chain (`chain._reduce`, behind the
+    public reduce and called directly by the verdicts that have already
+    counted the letters), and the prefix-key passes of split_extremal (two
+    per split)."""
     counts = {"walk": 0, "reduce": 0, "key_passes": 0}
-    reduce, accumulate = chain.reduce, convexity.accumulate
+    reduce, accumulate = chain._reduce, convexity.accumulate
 
     class CountedQuadGraph(quadgraph.QuadGraph):
         def __init__(self, start=(0, 0)):
             counts["walk"] += 1
             super().__init__(start)
 
-    def counted_reduce(word, circular=False):
+    def counted_reduce(word, circular):
         counts["reduce"] += 1
         return reduce(word, circular)
 
@@ -49,6 +51,6 @@ def calls(monkeypatch):
         return accumulate(*args, **kwargs)
 
     monkeypatch.setattr(quadgraph, "QuadGraph", CountedQuadGraph)
-    monkeypatch.setattr(chain, "reduce", counted_reduce)
+    monkeypatch.setattr(chain, "_reduce", counted_reduce)
     monkeypatch.setattr(convexity, "accumulate", counted_accumulate)
     return counts

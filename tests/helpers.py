@@ -115,6 +115,38 @@ def corner_counts(cells):
     return salient, reentrant
 
 
+def _edge_connected(cells):
+    """True iff the cells form one piece through shared edges (flood fill)."""
+    first = next(iter(cells))
+    reached, stack = {first}, [first]
+    while stack:
+        x, y = stack.pop()
+        for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if n in cells and n not in reached:
+                reached.add(n)
+                stack.append(n)
+    return len(reached) == len(cells)
+
+
+def is_polyomino_oracle(cells):
+    """True iff a non-empty cell set is one hole-free 4-connected piece.
+
+    The cells must be 4-connected, and so must the other cells of their
+    bounding box grown by one cell on every side: a hole, or two cells
+    that meet only at a corner, cuts that complement apart.
+    """
+    cells = set(cells)
+    xs = [x for x, _ in cells]
+    ys = [y for _, y in cells]
+    around = {
+        (x, y)
+        for x in range(min(xs) - 1, max(xs) + 2)
+        for y in range(min(ys) - 1, max(ys) + 2)
+        if (x, y) not in cells
+    }
+    return _edge_connected(cells) and _edge_connected(around)
+
+
 def area_shoelace(word, start=(0, 0)):
     """Signed area enclosed by a closed word, positive when counterclockwise."""
     x, y = start

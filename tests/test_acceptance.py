@@ -103,7 +103,7 @@ def _serpentine(n):
     return (row * (n // 2000 + 1))[:n]
 
 
-def _timed_detect(words, runs=3):
+def _timed_detect(words, runs=7):
     """Best of `runs` GC-off timings per word, the words timed in turn each
     round, so that a change in host speed falls on all of them alike."""
     times = [[] for _ in words]

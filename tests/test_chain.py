@@ -97,8 +97,11 @@ class TestTransforms:
             assert hat(u + v) == hat(v) + hat(u)
 
     def test_invalid_letters_rejected(self):
-        for fn in (rotate, hat, delta, is_closed, is_simple):
-            with pytest.raises(ValueError):
+        for fn in (
+            rotate, hat, delta, is_closed, is_simple, reduce, turning_number,
+            lambda w: turning_number(w, circular=True),
+        ):
+            with pytest.raises(ValueError, match="^invalid chain letter 'x'$"):
                 fn("01x3")
 
 

@@ -17,6 +17,7 @@ from gridwords import (
     is_digitally_convex,
     is_simple,
     orient_ccw,
+    quadgraph,
     salient_reentrant,
     split_extremal,
     turning_number,
@@ -246,3 +247,31 @@ TILES = (
 def test_a_tiling_search_walks_once(word, calls):
     assert bn_factorizations(word)
     assert calls == {"walk": 1, "reduce": 0, "key_passes": 0}
+
+
+
+@pytest.mark.parametrize("word", ("00121233", "0011", "002", "0202", "13"))
+@pytest.mark.parametrize("circular", (False, True))
+def test_turning_number_and_path_facts_count_the_letters_once(
+    word, circular, monkeypatch
+):
+    closed = is_closed(word)
+    counted = []
+    letter_counts = quadgraph.letter_counts
+
+    def counting(w):
+        counted.append(w)
+        return letter_counts(w)
+
+    # the walk takes its counts from quadgraph, the other verdicts from chain
+    monkeypatch.setattr(quadgraph, "letter_counts", counting)
+    monkeypatch.setattr(chain, "letter_counts", counting)
+    if circular and not closed:
+        with pytest.raises(ValueError, match="^not closed$"):
+            turning_number(word, circular=True)
+    else:
+        turning_number(word, circular=circular)
+    assert counted == [word]
+    counted.clear()
+    path_facts(word)
+    assert counted == [word]

@@ -6,7 +6,13 @@ from gridwords import (
     gen_random_polyomino,
     orient_ccw,
 )
-from helpers import area_shoelace, boundary_words, corner_counts
+from helpers import (
+    area_shoelace,
+    boundary_words,
+    corner_counts,
+    fill_cells,
+    is_polyomino_oracle,
+)
 
 
 class TestEnclosedCells:
@@ -75,8 +81,37 @@ class TestBoundaryWord:
         }
         with pytest.raises(ValueError, match="simply connected"):
             boundary_word(ring)  # hole inside
-        with pytest.raises(ValueError):
-            boundary_word(set())
+        with pytest.raises(ValueError, match="simply connected"):
+            boundary_word(ring - {(2, 2)})  # (1, 2) and (2, 1) meet at a corner
+
+    @pytest.mark.parametrize(
+        "empty", [[], set(), iter([]), (c for c in ())], ids=["list", "set", "iter", "gen"]
+    )
+    def test_rejects_empty_cell_sets(self, empty):
+        with pytest.raises(ValueError, match="^empty cell set$"):
+            boundary_word(empty)
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [(3, 4), pytest.param(4, 4, marks=pytest.mark.slow)],
+    )
+    def test_every_subset_of_a_box(self, width, height):
+        """boundary_word raises exactly for the cell sets the oracle rejects;
+        otherwise its word, started at the lowest-then-leftmost cell, runs
+        counterclockwise round exactly these cells."""
+        box = [(x, y) for y in range(height) for x in range(width)]
+        for mask in range(1, 1 << len(box)):
+            cells = {cell for k, cell in enumerate(box) if mask >> k & 1}
+            if not is_polyomino_oracle(cells):
+                with pytest.raises(
+                    ValueError, match="^cells are not a simply connected polyomino$"
+                ):
+                    boundary_word(cells)
+                continue
+            word, (x0, y0) = boundary_word(cells)
+            assert (x0, y0) == min(cells, key=lambda c: (c[1], c[0]))
+            assert area_shoelace(word) > 0
+            assert {(x + x0, y + y0) for x, y in fill_cells(word)} == cells
 
 
 FAR = 10**12
