@@ -187,8 +187,8 @@ def turning_number(word, circular=False):
 def path_facts(word):
     """(closed, simple, turning, corners) of a path, from one walk.
 
-    The walk is shared with the other verdicts called on the same word
-    object, and `closed` comes from the letter counts that seed it.  A
+    The walk is shared with the other verdicts called on an equal word,
+    and `closed` comes from the letter counts that seed it.  A
     simple word has no cancelling pair, and a simple closed word none
     across its seam either, since a last step that undid the first would
     revisit the first vertex early; so only a word that is not simple is

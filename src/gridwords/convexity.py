@@ -7,12 +7,13 @@ This is the package's one route; the fill-and-hull check that
 cross-validates it lives with the tests.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .chain import _ROT, orient_ccw
 from .lyndon import is_christoffel, lyndon_factorize
-from .quadgraph import _point_after, _remember_last
+from .quadgraph import _point_after
 
 # Steps of the prefix keys x*2^32 + y, and of the turned keys -y*2^32 + x
 # (the point turned a quarter turn counterclockwise).  Key order is the
@@ -49,7 +50,6 @@ class ExtremalSplit:
     n: tuple
 
 
-@_remember_last
 def split_extremal(word):
     """Split a boundary word at W, S, E, N (ccw; auto-orients via hat).
 
@@ -63,10 +63,16 @@ def split_extremal(word):
     (greatest); only one key list is alive at a time.  The corners are the
     prefix letter counts of the word rotated to start at W.
 
-    Remembers its last word: verdicts called on one word object, such as
-    this and is_digitally_convex, share one split, and the last word and
-    its split (about twice the word) stay alive until the next call.
+    Remembers its last word, keyed by equality (`_split`): this and
+    is_digitally_convex on equal words share one split, and the last word
+    and its split (about twice the word) stay alive until the next split.
     """
+    return _split(word)
+
+
+@functools.lru_cache(maxsize=1)
+def _split(word):
+    """split_extremal(word), computed; `cache_info()` counts real splits."""
     ccw = orient_ccw(word)
     n = len(ccw)
     keys = list(accumulate(map(_KEY, ccw), initial=0))

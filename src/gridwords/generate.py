@@ -13,6 +13,7 @@ for each of the 256 occupancy bytes of the ring (1,0), (1,1), (0,1),
 (-1,1), (-1,0), (-1,-1), (0,-1), (1,-1), bit 0 first.
 """
 
+import operator
 import random
 
 from .polyomino import _boundary
@@ -28,8 +29,10 @@ def gen_random_polyomino(cells, seed=None):
     """Boundary word of a random polyomino with the given cell count.
 
     Counterclockwise, deterministic for a fixed seed; the result always
-    passes is_closed and is_simple.
+    passes is_closed and is_simple.  `cells` must be an integer: a float
+    raises TypeError, as range() does, instead of growing for ever.
     """
+    cells = operator.index(cells)
     if cells < 1:
         raise ValueError("need at least one cell")
     bits = random.Random(seed).getrandbits

@@ -259,46 +259,16 @@ def _point_after(word, i):
     return count("0", 0, i) - count("2", 0, i), count("1", 0, i) - count("3", 0, i)
 
 
-def _remember_last(scan):
-    """Wrap a one-argument scan with a one-entry memo keyed by identity.
-
-    The wrapper keeps (word, result) for the last word object scanned and
-    returns that result again only while it is given that same object, so
-    several verdicts on one word share one scan.  Holding the word keeps
-    its id from being reused, so `is` is exact, and no word is hashed or
-    compared.  A scan that raises stores nothing and leaves the last entry
-    in place.  The entry is one tuple, read and replaced whole, so threads
-    scanning different words never see each other's result; a race costs
-    at most one more scan.  `cache_clear` drops the entry.
-    """
-    empty = (object(), None)
-    entry = empty
-
-    @functools.wraps(scan)
-    def remembered(word):
-        nonlocal entry
-        last, result = entry
-        if last is not word:
-            result = scan(word)
-            entry = word, result
-        return result
-
-    def cache_clear():
-        nonlocal entry
-        entry = empty
-
-    remembered.cache_clear = cache_clear
-    return remembered
-
-
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def _walk(word):
     """(letter counts, first revisit) of a chain word, from one walk.
 
     The counts are letter_counts(word), which also seed the walk's start;
     the revisit is detect_first_intersection(word).  Remembers its last
-    word: verdicts called on one word object walk it once, and the last
-    word walked stays alive until the next walk.
+    word, keyed by equality: verdicts called on equal words walk once, at
+    the cost of one hash per new string object (cached on the string).
+    The last word walked stays alive until the next walk; `cache_info()`
+    counts hits and real walks.
     """
     counts = letter_counts(word)
     i = QuadGraph(counts[2:])._first_revisit(word.encode().translate(_CODES))
@@ -314,7 +284,7 @@ def detect_first_intersection(word):
     original frame (path started at (0,0)), as the prefix letter counts
     (#0 - #2, #1 - #3) of the letters walked.  The walk starts at (number
     of 2s, number of 3s), which no prefix can take out of the quadrant.
-    One walk per word object: the walk is shared with the other verdicts
-    called on the same object (`_walk`).
+    One walk per word: the walk is shared with the other verdicts called
+    on an equal word (`_walk`).
     """
     return _walk(word)[1]

@@ -15,8 +15,11 @@ def render_svg(vertices, labels=None):
 
     labels: optional sequence of per-edge strings (None entries skipped),
     aligned with the path's edges.  Raises ValueError, before drawing
-    anything, when the bounding box holds more than MAX_DOTS points.
+    anything, when there is no vertex or the bounding box holds more than
+    MAX_DOTS points.
     """
+    if not vertices:
+        raise ValueError("render needs at least one vertex")
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
     minx, maxx = min(xs), max(xs)

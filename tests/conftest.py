@@ -24,7 +24,7 @@ def _forget_last_words():
     """Start every test with no remembered walk or split, so that what a
     test counts, times or traces does not depend on the tests before it."""
     quadgraph._walk.cache_clear()
-    convexity.split_extremal.cache_clear()
+    convexity._split.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -116,3 +117,27 @@ def test_stall_falls_back_to_first_addable_cell(monkeypatch):
     assert len(stubs[0].calls) == 6 + 5 * 65
     assert word == "01110330111112332112333333"
     assert len(enclosed_cells(word)) == 12 and is_simple(word)
+
+
+class _BoundedRandom(random.Random):
+    """A seeded generator that raises after 10,000 draws, so that a growth
+    that never ends fails instead of hanging."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise RuntimeError("more than 10,000 draws")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("cells", (2.5, 3.0))
+def test_a_cell_count_that_is_no_integer_raises(cells, monkeypatch):
+    monkeypatch.setattr(
+        gridwords.generate, "random", SimpleNamespace(Random=_BoundedRandom)
+    )
+    with pytest.raises(TypeError):
+        gen_random_polyomino(cells, seed=0)
+    # the bound lets a real growth through
+    assert len(enclosed_cells(gen_random_polyomino(300, seed=0))) == 300

@@ -1,9 +1,9 @@
 """The one-entry memos on the quadtree walk and the extremal split.
 
-Verdicts called on one word object share one walk and one split.  The
-memos are keyed by the word's identity, keep only the last word, store
-nothing for a call that raises, and never hand one thread's result to
-another.
+Verdicts called on equal words share one walk and one split.  The memos
+are `functools.lru_cache(maxsize=1)`: keyed by the word's value, they keep
+only the last word, store nothing for a call that raises, and never hand
+one thread's result to another.
 """
 
 import sys
@@ -43,13 +43,13 @@ def test_one_word_object_is_walked_and_split_once(calls):
     assert calls == {"walk": 1, "reduce": 0, "key_passes": 2}
 
 
-def test_an_equal_but_distinct_word_is_scanned_again(calls):
+def test_an_equal_but_distinct_word_shares_the_scan(calls):
     word = gen_random_polyomino(30, 6)
     hit, split = detect_first_intersection(word), split_extremal(word)
     copy = _copy(word)
     assert detect_first_intersection(copy) == hit
     assert split_extremal(copy) == split
-    assert calls == {"walk": 2, "reduce": 0, "key_passes": 4}
+    assert calls == {"walk": 1, "reduce": 0, "key_passes": 2}
 
 
 def test_alternating_words_match_the_oracles_every_time(calls):

@@ -10,6 +10,7 @@ from gridwords import (
     bn_factorizations,
     chain,
     cli,
+    convexity,
     enclosed_cells,
     gen_random_polyomino,
     hat,
@@ -218,19 +219,40 @@ def test_one_shapes_operation_reduces_once(word, calls):
     assert calls == {"walk": 1, "reduce": 1, "key_passes": 2}
 
 
+@pytest.mark.parametrize("word", ("00121233", hat("00121233")))
+def test_one_shapes_operation_reads_its_memo_hits(word):
+    # is_simple walks; salient_reentrant and the split's orient_ccw read
+    # that walk, and is_digitally_convex reads the split
+    is_closed(word)
+    is_simple(word)
+    turning_number(word, circular=True)
+    salient_reentrant(word)
+    split_extremal(word)
+    is_digitally_convex(word)
+    walk, split = quadgraph._walk.cache_info(), convexity._split.cache_info()
+    assert (walk.misses, walk.hits, split.misses, split.hits) == (1, 2, 1, 1)
+    # one entry each: a larger memo would keep many long words alive
+    for memo in (quadgraph._walk, convexity._split):
+        assert memo.cache_parameters()["maxsize"] == 1
+
+
 @pytest.mark.parametrize("command", ("analyze", "intersect", "convex"))
 def test_each_cli_record_is_walked_once(command, calls, capsys):
-    # three equal words, each its own object, are three records
+    # three different words are three walks; three equal words, each its
+    # own object, share one walk
     word = "00121233"
-    words = [word[:k] + word[k:] for k in (1, 2, 3)]
-    assert len({id(w) for w in words}) == 3
-    assert cli.main([command, *words]) == 0
-    assert calls == {
-        "walk": 3,
-        "reduce": 0,
-        "key_passes": 6 if command == "convex" else 0,
-    }
-    assert len(capsys.readouterr().out.splitlines()) == 3
+    different = [word, hat(word), "0123"]
+    equal = [word[:k] + word[k:] for k in (1, 2, 3)]
+    assert len({id(w) for w in equal}) == 3
+    for words, walks in ((different, 3), (equal, 1)):
+        calls.update(walk=0, key_passes=0)
+        assert cli.main([command, *words]) == 0
+        assert calls == {
+            "walk": walks,
+            "reduce": 0,
+            "key_passes": 2 * walks if command == "convex" else 0,
+        }
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 # a square, a domino read both ways, the plus pentomino and a 100x100 square

@@ -82,3 +82,7 @@ class TestRenderLimit:
             f"the limit is {MAX_DOTS}"
         )
         assert MAX_DOTS == 1 << 20
+
+    def test_no_vertex_raises(self):
+        with pytest.raises(ValueError, match="^render needs at least one vertex$"):
+            render_svg([])
