@@ -1,7 +1,8 @@
 """Plain-text chain files: one record per line, `[name:] word [@ x y]`.
 
 `#` starts a comment; whitespace inside the word is ignored; labels must
-be unique and come before any `@`.  UTF-8, LF or CRLF.
+be unique and come before any `@`.  UTF-8, LF or CRLF; a leading
+byte-order mark is ignored.
 """
 
 import re
@@ -27,7 +28,8 @@ class ChainFileError(ValueError):
 
 def parse_chain_file(data):
     """Parse chain-file text (bytes or str) into a tuple of ChainRecords."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    binary = isinstance(data, (bytes, bytearray))
+    text = data.decode("utf-8-sig") if binary else data.removeprefix("\ufeff")
     records = []
     labels = set()
     for lineno, raw in enumerate(text.split("\n"), 1):

@@ -33,6 +33,12 @@ from .tiling import TileClass, bn_factorizations
 _MAX_LETTERS = 1 << 20
 
 
+def _within(amount, limit, what, unit=""):
+    """Raise the size-limit error for `what` when amount exceeds limit."""
+    if amount > limit:
+        raise ValueError(f"{what}; the limit is {limit}{unit}")
+
+
 def _collect_records(inputs):
     records = []
     for item in inputs:
@@ -111,11 +117,8 @@ def _convex(word):
 def _tile(word):
     facts = bn_factorizations(word)
     letters = len(facts) * (len(word) // 2)
-    if letters > _MAX_LETTERS:
-        raise ValueError(
-            f"tile of a {len(word)}-letter word would print {letters} block letters; "
-            f"the limit is {_MAX_LETTERS}"
-        )
+    _within(letters, _MAX_LETTERS,
+            f"tile of a {len(word)}-letter word would print {letters} block letters")
     tile_class = TileClass.of(facts)
     report = {
         "class": tile_class.value,
@@ -155,11 +158,8 @@ def cmd_lyndon(args):
 
 
 def cmd_christoffel(args):
-    if args.a + args.b > _MAX_LETTERS:
-        raise ValueError(
-            f"christoffel {args.a} {args.b} would build {args.a + args.b} letters; "
-            f"the limit is {_MAX_LETTERS}"
-        )
+    _within(args.a + args.b, _MAX_LETTERS,
+            f"christoffel {args.a} {args.b} would build {args.a + args.b} letters")
     word = christoffel(args.a, args.b)
     return _emit(args, {"a": args.a, "b": args.b, "word": word}, word)
 
@@ -170,10 +170,7 @@ def cmd_render(args):
         raise ValueError("render expects exactly one word")
     rec = records[0]
     n = len(rec.word)
-    if n > render.MAX_DOTS:
-        raise ValueError(
-            f"render of a {n}-letter word; the limit is {render.MAX_DOTS} letters"
-        )
+    _within(n, render.MAX_DOTS, f"render of a {n}-letter word", " letters")
     labels = None
     if args.labels == "letters":
         labels = list(rec.word)
@@ -193,11 +190,8 @@ def cmd_gen(args):
         raise ValueError(f"--count must be at least 1, got {args.count}")
     # a polyomino of c cells has perimeter at most 2c + 2
     most = args.count * (2 * args.cells + 2)
-    if most > _MAX_LETTERS:
-        raise ValueError(
-            f"--cells {args.cells} --count {args.count} may build {most} letters; "
-            f"the limit is {_MAX_LETTERS}"
-        )
+    _within(most, _MAX_LETTERS,
+            f"--cells {args.cells} --count {args.count} may build {most} letters")
     words = [gen_random_polyomino(args.cells, args.seed + k) for k in range(args.count)]
     return _emit(args, {"words": words}, "\n".join(words))
 

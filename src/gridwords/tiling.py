@@ -111,18 +111,20 @@ def bn_factorizations(word):
     as z[2i] = w[i+h], z[2i+1] = w[i] + 2 mod 4 makes that "z[2p:2q] is a
     palindrome", so with R the even palindrome radii of z, [p, q) is valid
     iff q - p <= R[p + q].  A block of a factorization is admissible, so
-    it is the longest valid block at its centre c = p + q: its length is
-    R[c] lowered to the parity of c.  With at most one empty block, every
-    non-empty block is shorter than h.  The candidates are therefore one
-    block of length 0 < r < h per centre, fewer than 2n, and the n + 1
-    empty blocks.  Each cut set is found once, from its least cut s < h,
-    with X = [s, q1) and Y = [q1, q2) non-empty, so q1 < h.  A square has
-    Z = [t, t) empty, with t = s + h, and a hexagon q2 < h.  The ends q2 of
-    Y are the candidate ends after q1 that are also candidate starts of
-    Z = [q2, t): one set intersection, costing the smaller set.  That is
-    fewer than 2n intersections, O(n D) Python steps for D the most
-    candidates sharing an endpoint.  A factorization holds its cuts and w,
-    and its blocks are sliced when read.
+    it is the longest valid block at its centre c = p + q: its length,
+    block[c], is R[c] lowered to the parity of c.  With at most one empty
+    block, every non-empty block is shorter than h, so the candidates are
+    the blocks [p, q) with 0 < q - p < h and q - p == block[p + q], fewer
+    than 2n.  They are listed by start and by end, each list ascending.
+    Each cut set is found once, from its least cut s < h, with X = [s, q1)
+    and Y non-empty, so q1 < h, and t = s + h.  A square has Y = [q1, t)
+    and Z empty: one radius test.  A hexagon has q1 < q2 < h, with q2 run
+    over the shorter of the candidate ends after q1 and the candidate
+    starts of Z = [q2, t), and kept when Y and Z both pass the test.  That
+    is fewer than 2n scans, O(n D) Python steps for D the most candidates
+    sharing an endpoint.  The hexagons from X come before its square, so
+    the cut sets come out ascending with no sort.  A factorization holds
+    its cuts and w, and its blocks are sliced when read.
     """
     if not (is_closed(word) and _may_tile(word) and is_simple(word)):
         return []
@@ -132,26 +134,26 @@ def bn_factorizations(word):
     z = [""] * (2 * n)
     z[0::2] = w[h:] + w[:h]
     z[1::2] = rotate(w, 2)
-    radii = _even_radii(z)
-    ends = [{p} for p in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
-    starts = [{q} for q in range(n + 1)]  # starts[q]: every p with [p, q) a candidate
-    for c in range(1, 2 * n):
-        r = radii[c] - ((radii[c] - c) & 1)  # the longest block centred at c
+    block = [r - ((r - c) & 1) for c, r in enumerate(_even_radii(z))]
+    ends = [[] for _ in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
+    starts = [[] for _ in range(n + 1)]  # starts[q]: every p with [p, q) a candidate
+    for c, r in enumerate(block):
         if 0 < r < h:
-            ends[(c - r) // 2].add((c + r) // 2)
-            starts[(c + r) // 2].add((c - r) // 2)
+            ends[(c - r) // 2].append((c + r) // 2)
+            starts[(c + r) // 2].append((c - r) // 2)
 
     found = []
     for s in range(h):
         t = s + h
         for q1 in ends[s]:
-            if s < q1 < h:
-                for q2 in ends[q1] & starts[t]:
-                    if q2 == t:
-                        found.append((s, q1, t, q1 + h))
-                    elif q1 < q2 < h:
-                        found.append((s, q1, q2, t, q1 + h, q2 + h))
-    found.sort()
+            if q1 >= h:
+                break
+            ys, zs = ends[q1], starts[t]
+            for q2 in ys if len(ys) <= len(zs) else zs:
+                if q1 < q2 < h and q2 - q1 == block[q1 + q2] and t - q2 == block[q2 + t]:
+                    found.append((s, q1, q2, t, q1 + h, q2 + h))
+            if t - q1 == block[q1 + t]:
+                found.append((s, q1, t, q1 + h))
     return [BNFactorization(cuts, w) for cuts in found]
 
 

@@ -33,6 +33,13 @@ class TestParse:
         cf = parse_chain_file(b"sq: 0123\n")
         assert cf[0].name == "sq"
 
+    @pytest.mark.parametrize("text", ["\ufeffa: 0123\n0011\n", "\ufeff0123\n0011\n"])
+    def test_leading_byte_order_mark_is_ignored(self, text):
+        expected = parse_chain_file(text[1:])
+        assert parse_chain_file(text) == expected
+        assert parse_chain_file(text.encode()) == expected
+        assert parse_chain_file(text.encode("utf-8-sig")[3:]) == expected
+
     def test_negative_start(self):
         cf = parse_chain_file("w: 00 @ -3 -4\n")
         assert cf[0].start == (-3, -4)
@@ -79,13 +86,28 @@ class TestErrors:
         assert excinfo.value.column == 6 + 5 * ((1 << 14) - 1) + 4
         assert "invalid character 'x'" in str(excinfo.value)
 
+    def test_byte_order_mark_after_the_start_is_invalid(self):
+        for data in ("0\ufeff123\n", "\ufeff\ufeff0123\n", "0123\n\ufeff01\n"):
+            for text in (data, data.encode("utf-8-sig")):
+                with pytest.raises(ChainFileError) as excinfo:
+                    parse_chain_file(text)
+                assert "invalid character '\\ufeff'" in str(excinfo.value), data
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("w: 01\ufeff23\n")
+        assert (excinfo.value.line, excinfo.value.column) == (1, 6)
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file(b"0123\n\xef\xbb\xbfa: 01\n")
+        assert str(excinfo.value) == "line 2: bad label '\\ufeffa'"
+
     def test_duplicate_label(self):
-        with pytest.raises(ChainFileError, match="duplicate"):
+        with pytest.raises(ChainFileError, match="duplicate") as excinfo:
             parse_chain_file("a: 0123\na: 0011\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, None)
 
     def test_bad_start_point(self):
-        with pytest.raises(ChainFileError, match="two integers"):
+        with pytest.raises(ChainFileError, match="two integers") as excinfo:
             parse_chain_file("w: 0123 @ 1\n")
+        assert (excinfo.value.line, excinfo.value.column) == (1, None)
         with pytest.raises(ChainFileError, match="two integers"):
             parse_chain_file("w: 0123 @ 1 b\n")
 
