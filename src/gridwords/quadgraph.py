@@ -243,10 +243,14 @@ class QuadGraph:
 def letter_counts(word):
     """The numbers of 0s, 1s, 2s and 3s in a chain word.
 
-    Raises ValueError naming the first letter that is none of these.  The
-    four counts add up to the word's length exactly when every letter is a
-    chain letter; a `strip` runs only to name the bad one.
+    Raises ValueError naming the first letter that is none of these, and
+    TypeError for a word that is not a str (a list or tuple of letters
+    would count too).  The four counts add up to the word's length exactly
+    when every letter is a chain letter; a `strip` runs only to name the
+    bad one.
     """
+    if not isinstance(word, str):
+        raise TypeError(f"chain word must be str, not {type(word).__name__}")
     counts = word.count("0"), word.count("1"), word.count("2"), word.count("3")
     if sum(counts) != len(word):
         raise ValueError(f"invalid chain letter {word.strip('0123')[0]!r}")

@@ -3,11 +3,16 @@ polyline, a start marker, and optional per-edge labels.  Meant for
 figure-sized words, not million-step paths.
 """
 
-from xml.sax.saxutils import escape
-
 SCALE = 24  # pixels per grid unit
 MARGIN = 1  # grid units of blank border around the bounding box
 MAX_DOTS = 1 << 20  # grid dots one drawing may hold, one per point of the box
+
+
+def _escape(text):
+    """`text` made safe as XML character data.  Makes the replacements of
+    `xml.sax.saxutils.escape`, in its order, without its import, which
+    loads `urllib`, `http` and `email`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_svg(vertices, labels=None):
@@ -66,7 +71,7 @@ def render_svg(vertices, labels=None):
             ly = (py(ay) + py(by)) / 2 - 4
             parts.append(
                 f'<text x="{lx}" y="{ly}" font-size="{SCALE // 2}" '
-                f'font-family="monospace">{escape(str(text))}</text>'
+                f'font-family="monospace">{_escape(str(text))}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -221,6 +221,29 @@ class TestRender:
         ]
         assert labels == ["0", "1", "2", "3"]
 
+    def test_letter_labels_bytes_are_pinned(self, capsys):
+        rc, out, err = run(capsys, "render", "0123", "--labels", "letters")
+        assert rc == 0 and err == ""
+        assert out == "\n".join([
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<svg xmlns="http://www.w3.org/2000/svg" width="72" height="72" viewBox="0 0 72 72">',
+            '<g fill="#bbbbbb">',
+            '<circle cx="24" cy="48" r="1.5"/>',
+            '<circle cx="24" cy="24" r="1.5"/>',
+            '<circle cx="48" cy="48" r="1.5"/>',
+            '<circle cx="48" cy="24" r="1.5"/>',
+            '</g>',
+            '<polyline points="24,48 48,48 48,24 24,24 24,48"'
+            ' fill="none" stroke="#202020" stroke-width="2"/>',
+            '<circle cx="24" cy="48" r="4" fill="#c03030"/>',
+            '<text x="40.0" y="44.0" font-size="12" font-family="monospace">0</text>',
+            '<text x="52.0" y="32.0" font-size="12" font-family="monospace">1</text>',
+            '<text x="40.0" y="20.0" font-size="12" font-family="monospace">2</text>',
+            '<text x="28.0" y="32.0" font-size="12" font-family="monospace">3</text>',
+            '</svg>',
+            '',
+        ])
+
     def test_requires_single_record(self, capsys):
         rc, _, err = run(capsys, "render", "0123", "0011")
         assert rc == 2 and "error:" in err

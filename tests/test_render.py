@@ -58,6 +58,38 @@ class TestRenderSvg:
         root = parsed(render_svg(trace("01"), labels=["<a>", "&"]))
         assert texts(root) == ["<a>", "&"]
 
+    def test_svg_bytes_are_pinned(self):
+        # Every character that needs escaping in text content, and a few
+        # that must pass through as they are, against the exact bytes.
+        labels = ["<a>", "&", '"q"', "'", "&amp;", ">", None, 5, "<&>"]
+        assert render_svg(trace("0011223301"), labels=labels) == "\n".join([
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<svg xmlns="http://www.w3.org/2000/svg" width="96" height="96" viewBox="0 0 96 96">',
+            '<g fill="#bbbbbb">',
+            '<circle cx="24" cy="72" r="1.5"/>',
+            '<circle cx="24" cy="48" r="1.5"/>',
+            '<circle cx="24" cy="24" r="1.5"/>',
+            '<circle cx="48" cy="72" r="1.5"/>',
+            '<circle cx="48" cy="48" r="1.5"/>',
+            '<circle cx="48" cy="24" r="1.5"/>',
+            '<circle cx="72" cy="72" r="1.5"/>',
+            '<circle cx="72" cy="48" r="1.5"/>',
+            '<circle cx="72" cy="24" r="1.5"/>',
+            '</g>',
+            '<polyline points="24,72 48,72 72,72 72,48 72,24 48,24 24,24 24,48 24,72 48,72 48,48"'
+            ' fill="none" stroke="#202020" stroke-width="2"/>',
+            '<circle cx="24" cy="72" r="4" fill="#c03030"/>',
+            '<text x="40.0" y="68.0" font-size="12" font-family="monospace">&lt;a&gt;</text>',
+            '<text x="64.0" y="68.0" font-size="12" font-family="monospace">&amp;</text>',
+            '<text x="76.0" y="56.0" font-size="12" font-family="monospace">"q"</text>',
+            '<text x="76.0" y="32.0" font-size="12" font-family="monospace">\'</text>',
+            '<text x="64.0" y="20.0" font-size="12" font-family="monospace">&amp;amp;</text>',
+            '<text x="40.0" y="20.0" font-size="12" font-family="monospace">&gt;</text>',
+            '<text x="28.0" y="56.0" font-size="12" font-family="monospace">5</text>',
+            '<text x="40.0" y="68.0" font-size="12" font-family="monospace">&lt;&amp;&gt;</text>',
+            '</svg>',
+        ])
+
     def test_polyline_matches_trace(self):
         t = trace("0011")
         root = parsed(render_svg(t))

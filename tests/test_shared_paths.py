@@ -81,6 +81,43 @@ def test_invalid_letter_names_the_character(func, word, bad):
     assert str(info.value) == f"invalid chain letter {bad!r}"
 
 
+# Each check of chain letters first checks for a str.  A list reaching a
+# function that remembers its last word fails earlier, in `lru_cache`, as
+# unhashable: also a TypeError.
+@pytest.mark.parametrize(
+    "func",
+    [
+        pytest.param(f, id=f.__name__)
+        for f in (
+            is_closed,
+            is_simple,
+            reduce,
+            hat,
+            rotate,
+            reflected,
+            turning_number,
+            detect_first_intersection,
+            orient_ccw,
+            split_extremal,
+            is_digitally_convex,
+            bn_factorizations,
+        )
+    ],
+)
+@pytest.mark.parametrize(
+    "word",
+    [list("0123"), tuple("0123"), 5, None, b"0123"],
+    ids=lambda w: type(w).__name__,
+)
+def test_word_that_is_not_a_str_raises_type_error(func, word):
+    name = type(word).__name__
+    message = f"chain word must be str, not {name}"
+    if isinstance(word, list):
+        message += f"|unhashable type: '{name}'"
+    with pytest.raises(TypeError, match=f"^({message})$"):
+        func(word)
+
+
 def _shapes():
     for cells in (1, 4, 9, 25, 60):
         for seed in range(6):

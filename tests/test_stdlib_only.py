@@ -2,13 +2,19 @@
 
 Every absolute import in src/gridwords must name a standard-library
 module at its top level; relative imports stay inside the package.
+Importing the CLI loads none of the network, mail or markup modules.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gridwords"
+
+# Top-level packages a CLI process has no use for; several of them cost
+# tens of milliseconds of start-up when something pulls them in.
+UNWANTED = ("xml", "urllib", "http", "email", "ssl", "socket", "html")
 
 
 def foreign_imports(source):
@@ -56,3 +62,19 @@ def test_check_catches_every_form():
         "x = 'numpy'",
     ]:
         assert foreign_imports(source) == [], source
+
+
+def test_cli_import_loads_no_network_or_markup_module():
+    # -S keeps `site` out, so modules that site-packages import at start-up
+    # can neither hide nor fake a result.
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import gridwords.cli\n"
+        f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {UNWANTED!r}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
