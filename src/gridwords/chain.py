@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lyndon import lyndon_factorize
+from .lyndon import _require_str
 from .quadgraph import _walk, detect_first_intersection, letter_counts
 
 ALPHABET = "0123"
@@ -53,9 +53,9 @@ def hat(word):
 
 def delta(word):
     """Word of successive letter differences mod 4; length drops by one."""
-    if not word:
+    if not _validate(word):
         raise ValueError("delta undefined on empty word")
-    b = _validate(word).encode()
+    b = word.encode()
     return "".join(ALPHABET[(b[i + 1] - b[i]) % 4] for i in range(len(b) - 1))
 
 
@@ -65,7 +65,7 @@ def delta_circular(word):
     Same length as the input.  The result is itself a cyclic word but in
     general not closed as a path, so it is returned as a plain string.
     """
-    if not word:
+    if not _require_str(word):
         raise ValueError("delta undefined on empty circular word")
     return delta(word + word[:1])
 
@@ -235,14 +235,27 @@ def least_rotation(word):
     """Index at which the lexicographically least rotation starts.
 
     That is where the last group of Lyndon factors of word + word that
-    begins before len(word) begins (Duval's scan).
+    begins before len(word) begins.  Duval's scan runs on word + word in
+    place, as in `lyndon_factorize`, and stops at the first group that
+    begins at or after len(word), slicing no factor.
     """
+    ww = _require_str(word) * 2
+    n, m = len(word), len(ww)
     start = k = 0
-    for factor, count in lyndon_factorize(word + word):
-        if k >= len(word):
-            break
+    while k < n:
         start = k
-        k += len(factor) * count
+        i, j = k, k + 1
+        while j < m:
+            a, b = ww[i], ww[j]
+            if a < b:
+                i = k
+            elif a == b:
+                i += 1
+            else:
+                break
+            j += 1
+        length = j - i
+        k += length * ((i - k) // length + 1)
     return start
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .chain import _ROT, orient_ccw
-from .lyndon import is_christoffel, lyndon_factorize
+from .lyndon import _require_str, is_christoffel, lyndon_factorize
 from .quadgraph import _point_after
 
 # Steps of the prefix keys x*2^32 + y, and of the turned keys -y*2^32 + x
@@ -28,7 +28,7 @@ def is_nw_convex(word):
     True iff every Lyndon factor is a Christoffel word; the empty word is
     convex.
     """
-    bad = word.strip("01")
+    bad = _require_str(word).strip("01")
     if bad:
         raise ValueError(f"letter outside {{0,1}}: {bad[0]!r}")
     return all(is_christoffel(f) for f, _ in lyndon_factorize(word))

@@ -7,12 +7,19 @@ the Christoffel side is specific to {0,1}.
 from math import gcd
 
 
+def _require_str(word):
+    """The word itself; TypeError naming the type of anything but a str."""
+    if not isinstance(word, str):
+        raise TypeError(f"word must be str, not {type(word).__name__}")
+    return word
+
+
 def is_lyndon(word):
     """True iff word is primitive and least among its rotations.
 
     That is, iff its Lyndon factorization is the word itself, once.
     """
-    if not word:
+    if not _require_str(word):
         raise ValueError("empty word")
     return lyndon_factorize(word) == [(word, 1)]
 
@@ -25,7 +32,7 @@ def lyndon_factorize(word):
     exponent.  The empty word is the empty product.
     """
     factors = []
-    k, n = 0, len(word)
+    k, n = 0, len(_require_str(word))
     while k < n:
         i, j = k, k + 1
         while j < n and word[i] <= word[j]:
@@ -77,7 +84,7 @@ def christoffel(a, b):
 
 def is_christoffel(word):
     """True iff word is the lower Christoffel word of its letter counts."""
-    if not word:
+    if not _require_str(word):
         raise ValueError("empty word")
     bad = word.strip("01")
     if bad:

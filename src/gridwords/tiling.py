@@ -13,7 +13,10 @@ gives the longest valid block at every centre.  Every block of a
 factorization is admissible (Winslow): one more letter on each side
 makes it invalid.  So the longest valid block at each centre is the only
 non-empty block a factorization can use there, and the search looks at
-fewer than 2n candidate blocks for a word of length n.
+fewer than 2n candidate blocks for a word of length n.  A block has that
+length when the centre's palindrome radius exceeds it by 0 or 1, and
+candidates are filed only where the search reads them: by start below
+n/2 and by end in [n/2, n), about n/2 lists of each.
 
 Most boundaries are not exact, and one necessary condition rules out
 nearly all long ones before the walk and the search.  The blocks have n/2
@@ -26,7 +29,7 @@ the doubled word, no block can be that long, and the word is not exact.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .chain import canonical_rotation, hat, is_closed, is_simple, rotate
+from .chain import _ROT, canonical_rotation, is_closed, is_simple
 
 
 class TileClass(Enum):
@@ -93,7 +96,7 @@ def _may_tile(word):
     n = len(word)
     k = max(1, (n + 11) // 12)  # ceil(n/12), and 1 for the empty word
     ww = word + word
-    vv = hat(word) * 2
+    vv = word[::-1].translate(_ROT[2]) * 2
     return any(vv[j : j + k] in ww for j in range(0, n + k, k))
 
 
@@ -111,20 +114,25 @@ def bn_factorizations(word):
     as z[2i] = w[i+h], z[2i+1] = w[i] + 2 mod 4 makes that "z[2p:2q] is a
     palindrome", so with R the even palindrome radii of z, [p, q) is valid
     iff q - p <= R[p + q].  A block of a factorization is admissible, so
-    it is the longest valid block at its centre c = p + q: its length,
-    block[c], is R[c] lowered to the parity of c.  With at most one empty
+    it is the longest valid block at its centre c = p + q: its length is
+    R[c] lowered to the parity of c.  As q - p has the parity of c, that
+    is the radius test 0 <= R[c] - (q - p) < 2.  With at most one empty
     block, every non-empty block is shorter than h, so the candidates are
-    the blocks [p, q) with 0 < q - p < h and q - p == block[p + q], fewer
-    than 2n.  They are listed by start and by end, each list ascending.
+    the blocks [p, q) with 0 < q - p < h that pass it, fewer than 2n.
     Each cut set is found once, from its least cut s < h, with X = [s, q1)
-    and Y non-empty, so q1 < h, and t = s + h.  A square has Y = [q1, t)
-    and Z empty: one radius test.  A hexagon has q1 < q2 < h, with q2 run
-    over the shorter of the candidate ends after q1 and the candidate
-    starts of Z = [q2, t), and kept when Y and Z both pass the test.  That
-    is fewer than 2n scans, O(n D) Python steps for D the most candidates
-    sharing an endpoint.  The hexagons from X come before its square, so
-    the cut sets come out ascending with no sort.  A factorization holds
-    its cuts and w, and its blocks are sliced when read.
+    and Y non-empty, so q1 < h, and t = s + h.  So the search reads the
+    candidates by start p < h and by end h <= q < n only, and they are
+    filed there alone, each list ascending: h lists of each, in one pass
+    over R.  A square has Y = [q1, t) and Z empty: one radius test.  A
+    hexagon has q1 < q2 < h, with q2 run over the shorter of the candidate
+    ends after q1 and the candidate starts of Z = [q2, t), and kept when Y
+    and Z both pass the test.  That is fewer than 2n scans, O(n D) Python
+    steps for D the most candidates sharing an endpoint.  The hexagons
+    from X come before its square, so the cut sets come out ascending with
+    no sort.  A factorization holds its cuts and w, and its blocks are
+    sliced when read.  The letters are checked once, by `is_closed`, and
+    counted again only by the walk; the hat in `_may_tile` and the half
+    turn of w are plain translations.
     """
     if not (is_closed(word) and _may_tile(word) and is_simple(word)):
         return []
@@ -133,26 +141,36 @@ def bn_factorizations(word):
     h = n // 2
     z = [""] * (2 * n)
     z[0::2] = w[h:] + w[:h]
-    z[1::2] = rotate(w, 2)
-    block = [r - ((r - c) & 1) for c, r in enumerate(_even_radii(z))]
-    ends = [[] for _ in range(n + 1)]  # ends[p]: every q with [p, q) a candidate
-    starts = [[] for _ in range(n + 1)]  # starts[q]: every p with [p, q) a candidate
-    for c, r in enumerate(block):
+    z[1::2] = w.translate(_ROT[2])
+    radii = _even_radii(z)
+    ends = [[] for _ in range(h)]  # ends[p], p < h: every q with [p, q) a candidate
+    starts = [[] for _ in range(h)]  # starts[q - h], h <= q < n: every such p
+    for c, r in enumerate(radii):
+        r -= (r - c) & 1
         if 0 < r < h:
-            ends[(c - r) // 2].append((c + r) // 2)
-            starts[(c + r) // 2].append((c - r) // 2)
+            p = (c - r) // 2
+            q = p + r
+            if p < h:
+                ends[p].append(q)
+            if h <= q < n:
+                starts[q - h].append(p)
 
     found = []
     for s in range(h):
         t = s + h
+        zs = starts[s]  # every p with [p, t) a candidate
         for q1 in ends[s]:
             if q1 >= h:
                 break
-            ys, zs = ends[q1], starts[t]
+            ys = ends[q1]
             for q2 in ys if len(ys) <= len(zs) else zs:
-                if q1 < q2 < h and q2 - q1 == block[q1 + q2] and t - q2 == block[q2 + t]:
+                if (
+                    q1 < q2 < h
+                    and 0 <= radii[q1 + q2] - (q2 - q1) < 2
+                    and 0 <= radii[q2 + t] - (t - q2) < 2
+                ):
                     found.append((s, q1, q2, t, q1 + h, q2 + h))
-            if t - q1 == block[q1 + t]:
+            if 0 <= radii[q1 + t] - (t - q1) < 2:
                 found.append((s, q1, t, q1 + h))
     return [BNFactorization(cuts, w) for cuts in found]
 

@@ -35,6 +35,18 @@ from helpers import (
 WORDS = ["", "0", "2", "0123", "0011", "00121233", "01012223211", "002", "0321"]
 
 
+def _built_tile(rng, hexagon, length):
+    """A simple boundary X Y Z hat(X) hat(Y) hat(Z) with staircase blocks of
+    `length` letters, Z empty unless `hexagon`."""
+    while True:
+        x, y, z = ("".join(rng.choice(p) for _ in range(length)) for p in ("01", "12", "23"))
+        if not hexagon:
+            z = ""
+        word = x + y + z + hat(x) + hat(y) + hat(z)
+        if is_simple(word):
+            return word
+
+
 def random_word(rng, n):
     return "".join(rng.choice("0123") for _ in range(n))
 
@@ -317,6 +329,34 @@ class TestRotationOrder:
             for letters in itertools.product("0123", repeat=n):
                 w = "".join(letters)
                 assert least_rotation(w) == min_rotation_brute(w)
+
+    def test_least_rotation_on_long_words(self):
+        # Duval's scan stops at the first group of Lyndon factors of
+        # word + word that begins at or after n.  Words of 100-2,000
+        # letters: powers, whose one group covers both copies, near-powers,
+        # conjugates of exact tiles, and least rotations that wrap.
+        rng = random.Random(10)
+        words = []
+        for _ in range(12):
+            u = random_word(rng, rng.randrange(1, 20))
+            k = rng.randrange(100, 2001) // len(u) + 1
+            v = u[: rng.randrange(len(u))] + rng.choice("0123")
+            words += [u * k, u * k + v, v + u * k]
+        for hexagon, length in [(False, 60), (True, 120), (True, 300)]:
+            word = _built_tile(rng, hexagon, length)
+            n = len(word)
+            words += [word[j * n // 7 :] + word[: j * n // 7] for j in range(7)]
+        # the least rotation begins late and wraps past the end: a run of
+        # 0s, cut by the seam or not, in a word without another such run
+        for _ in range(10):
+            n = rng.randrange(100, 2001)
+            run = rng.randrange(2, 6)
+            body = "".join(rng.choice("0123") if i % run else rng.choice("123") for i in range(n))
+            cut = rng.randrange(run + 1)
+            words += [body + "0" * run, "0" * cut + body + "0" * (run - cut)]
+        for w in words:
+            assert least_rotation(w) == min_rotation_brute(w), (len(w), w[:40])
+        assert sum(least_rotation(w) > len(w) // 2 for w in words) >= 20
 
     def test_canonical_rotation(self):
         assert canonical_rotation("2301") == "0123"

@@ -5,6 +5,7 @@ import pytest
 
 from gridwords import (
     bn_factorizations,
+    canonical_rotation,
     classify,
     decide_convexity,
     delta,
@@ -13,9 +14,14 @@ from gridwords import (
     enclosed_cells,
     gen_random_polyomino,
     hat,
+    is_christoffel,
     is_closed,
     is_digitally_convex,
+    is_lyndon,
+    is_nw_convex,
     is_simple,
+    least_rotation,
+    lyndon_factorize,
     orient_ccw,
     reduce,
     reflect,
@@ -117,6 +123,34 @@ def test_word_that_is_not_a_str_raises_type_error(func, word):
     with pytest.raises(TypeError, match=f"^({message})$"):
         func(word)
 
+
+
+# Functions that read a word without counting chain letters check its type
+# first, so an empty sequence or None is not taken for the empty word.
+@pytest.mark.parametrize(
+    "func",
+    [
+        pytest.param(f, id=f.__name__)
+        for f in (
+            least_rotation,
+            canonical_rotation,
+            lyndon_factorize,
+            is_lyndon,
+            is_nw_convex,
+            is_christoffel,
+            delta,
+            delta_circular,
+        )
+    ],
+)
+@pytest.mark.parametrize(
+    "word",
+    [[], list("0123"), tuple("0123"), b"0123", None],
+    ids=["empty-list", "list", "tuple", "bytes", "None"],
+)
+def test_word_that_is_not_a_str_raises_type_error_before_any_scan(func, word):
+    with pytest.raises(TypeError, match=f"word must be str, not {type(word).__name__}$"):
+        func(word)
 
 def _shapes():
     for cells in (1, 4, 9, 25, 60):

@@ -11,7 +11,7 @@ with the check switched off, and on families known to tile.
 
 import pytest
 
-from gridwords import bn_factorizations, gen_random_polyomino, hat, tiling
+from gridwords import bn_factorizations, chain, gen_random_polyomino, hat, quadgraph, tiling
 from helpers import bn_factorizations_oracle, boundary_words, fibonacci_snowflake, gauss_disk
 from test_tiling_layout import _traced_search
 from test_tiling_oracle import built_tiles, rectangle
@@ -74,6 +74,25 @@ def test_a_rejected_word_is_never_walked(monkeypatch):
         assert bn_factorizations(w) == []
     with pytest.raises(AssertionError, match="is_simple called"):
         bn_factorizations(rectangle(3, 2))
+
+
+def test_letters_are_counted_once_per_scan(monkeypatch):
+    # is_closed counts the letters, and so does the walk that is_simple
+    # makes; the hat factor check and the search reuse that verdict.
+    calls = []
+    letter_counts = quadgraph.letter_counts
+
+    def counting(word):
+        calls.append(len(word))
+        return letter_counts(word)
+
+    monkeypatch.setattr(chain, "letter_counts", counting)
+    monkeypatch.setattr(quadgraph, "letter_counts", counting)
+    for word, expected in [(rectangle(30, 20), 2), (gauss_disk(250), 1)]:
+        quadgraph._walk.cache_clear()
+        calls.clear()
+        bn_factorizations(word)
+        assert calls == [len(word)] * expected, word[:20]
 
 
 @pytest.mark.parametrize("r", [250, 1250])

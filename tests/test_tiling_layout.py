@@ -37,7 +37,7 @@ def test_memory_per_letter():
         facts, peak, held = _traced_search(word)
         n = len(word)
         assert len(facts) > 1000
-        assert peak <= 750 * n, (n, peak / n)
+        assert peak <= 450 * n, (n, peak / n)
         assert held <= 256 * n, (n, held / n)
 
 
