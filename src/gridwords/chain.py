@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lyndon import _require_str
+from .lyndon import _groups, _require_str
 from .quadgraph import _walk, detect_first_intersection, letter_counts
 
 ALPHABET = "0123"
@@ -235,27 +235,13 @@ def least_rotation(word):
     """Index at which the lexicographically least rotation starts.
 
     That is where the last group of Lyndon factors of word + word that
-    begins before len(word) begins.  Duval's scan runs on word + word in
-    place, as in `lyndon_factorize`, and stops at the first group that
-    begins at or after len(word), slicing no factor.
+    begins before len(word) begins.  Duval's scan runs on word + word and
+    stops at the first group that begins at or after len(word), slicing
+    no factor.
     """
-    ww = _require_str(word) * 2
-    n, m = len(word), len(ww)
-    start = k = 0
-    while k < n:
-        start = k
-        i, j = k, k + 1
-        while j < m:
-            a, b = ww[i], ww[j]
-            if a < b:
-                i = k
-            elif a == b:
-                i += 1
-            else:
-                break
-            j += 1
-        length = j - i
-        k += length * ((i - k) // length + 1)
+    start = 0
+    for start, _, _ in _groups(_require_str(word) * 2, len(word)):
+        pass
     return start
 
 

@@ -31,18 +31,35 @@ def lyndon_factorize(word):
     strictly decreasing, equal neighbors having been grouped into the
     exponent.  The empty word is the empty product.
     """
-    factors = []
-    k, n = 0, len(_require_str(word))
-    while k < n:
+    return [
+        (word[k:k + length], count)
+        for k, length, count in _groups(_require_str(word), len(word))
+    ]
+
+
+def _groups(word, stop):
+    """(start, length, exponent) of each group of equal Lyndon factors of
+    word that starts before `stop`, from Duval's scan.
+
+    The scan reads each letter pair once per step and compares it three
+    ways.
+    """
+    k, n = 0, len(word)
+    while k < stop:
         i, j = k, k + 1
-        while j < n and word[i] <= word[j]:
-            i = k if word[i] < word[j] else i + 1
+        while j < n:
+            a, b = word[i], word[j]
+            if a < b:
+                i = k
+            elif a == b:
+                i += 1
+            else:
+                break
             j += 1
         length = j - i
         count = (i - k) // length + 1
-        factors.append((word[k:k + length], count))
+        yield k, length, count
         k += length * count
-    return factors
 
 
 def format_factorization(factors):

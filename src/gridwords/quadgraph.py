@@ -8,8 +8,8 @@ either moves to a sibling tile under the same father, follows a memoized
 neighbor link, or reconstructs the neighbor as a child of the father's
 neighbor.  The walker flips siblings and reads the memo in its own loop;
 one resolver, `_neighbor`, handles every miss, recursing up the tree.
-A straight run that enters a tile and crosses it whole tests and sets the
-tile's line of marks with one slice each.
+A straight run that enters a tile crosses all its whole tiles in one inner
+loop, which tests and sets each tile's line of marks with one slice each.
 
 Nodes store no coordinates.  A tile's binary digits are the slots on the
 tree path from the root down to its node, a point's place in its tile is
@@ -18,6 +18,7 @@ where the letter counts of the word spell it.
 """
 
 import functools
+import re
 from array import array
 
 # Per letter: the slot bit the step flips, and the value of that bit for
@@ -43,6 +44,8 @@ _TILE = (
 # Per letter: the codes of a run that crosses a tile whole, and the stride
 # between the marks of a line along the letter.
 _LINE = tuple((bytes((eps,)) * _SIDE, (1, _SIDE)[eps & 1]) for eps in range(4))
+# Per letter: the match of the longest run of that letter from an index.
+_RUN_END = tuple(re.compile(re.escape(bytes((eps,))) + b"*").match for eps in range(4))
 _CLEAR_LINE = bytes(_SIDE)
 _FULL_LINE = b"\x01" * _SIDE
 _NO_MARKS = bytes(1 << _BLOCK)  # a new tile's marks
@@ -187,11 +190,15 @@ class QuadGraph:
         off the quadrant climbs in `_neighbor` to the root and raises before
         anything changes.
 
-        A step into a tile whose letter begins a run of `_SIDE` equal
-        letters walks the tile's whole line along that letter.  When that
-        line holds no mark, one slice sets it and the walk goes on from its
-        far end; otherwise the run is walked letter by letter, so the index
-        returned and the marks left are those of the plain walk.
+        A step into a tile whose letter begins a run of at least `_SIDE`
+        equal letters reads the run's length once and crosses its whole
+        tiles in one inner loop, moving the letters' iterator once per run.
+        Each pass steps into the next tile and tests its line along the
+        letter with one slice; a clear line is set with one slice and the
+        loop goes on from its far end.  A marked line stops the loop in the
+        tile just entered, which is walked letter by letter from its entry
+        letter, so the index returned and the marks, node and offset left
+        are those of the plain walk.
         """
         tile = _TILE
         move = _MOVE
@@ -216,22 +223,32 @@ class QuadGraph:
                 pos += delta
             else:
                 bit, keep = move[eps]
-                if cur & bit == keep:
-                    cur ^= bit
-                else:
-                    cur = links[eps][cur] or self._neighbor(cur, eps)
-                base = blk[cur] << block or self._first_mark(cur)
-                pos = base + (pos & offset) + wrap
                 run, stride = line[eps]
-                i = n - left() - 1  # the index of this letter
-                if runs_from(run, i):
+                # Letter k enters the tile.  When it begins a run of `side`
+                # letters or more, the run's whole tiles end at letter `last`.
+                k = last = n - left() - 1
+                if runs_from(run, k):
+                    last = k + ((_RUN_END[eps](codes, k).end() - k) & -side) - 1
+                while k <= last:  # step into the tile that letter k enters
+                    if cur & bit == keep:
+                        cur ^= bit
+                    else:
+                        cur = links[eps][cur] or self._neighbor(cur, eps)
+                    base = blk[cur] << block or self._first_mark(cur)
+                    pos = base + (pos & offset) + wrap
+                    if k == last:
+                        break  # no whole tile to cross: walk letter k
                     first = pos & ~mask
                     stop = first + side * stride
-                    if marks[first:stop:stride] == clear:
-                        marks[first:stop:stride] = full
-                        pos ^= mask  # the line's far end
-                        seek(i + side)
-                        continue
+                    if marks[first:stop:stride] != clear:
+                        seek(k + 1)  # walk this tile from its entry letter
+                        break
+                    marks[first:stop:stride] = full
+                    pos ^= mask  # the line's far end
+                    k += side
+                else:  # every whole tile is crossed: go on from letter k
+                    seek(k)
+                    continue
             if marks[pos]:
                 self._node, self._pos = cur, pos
                 return n - left()

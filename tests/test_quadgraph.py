@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -68,9 +69,9 @@ def visited_points(g):
     for node, (x, y) in _walk(g):
         if node == 0 or g._blk[node]:
             first = _AREA * g._blk[node]
-            for m, mark in enumerate(g._marks[first:first + _AREA]):
-                if mark:
-                    seen.add((_SIDE * x + m % _SIDE, _SIDE * y + m // _SIDE))
+            for mark in re.finditer(rb"[^\x00]", g._marks[first:first + _AREA]):
+                m = mark.start()
+                seen.add((_SIDE * x + m % _SIDE, _SIDE * y + m // _SIDE))
     return frozenset(seen)
 
 
@@ -421,10 +422,12 @@ class TestTileEdges:
 _LOW = 4 * _SIDE
 
 
-def _turned(point, quarter_turns):
+def _turned(point, quarter_turns, low=_LOW):
+    """The point turned about the centre of the tile whose lowest point is
+    (low, low)."""
     x, y = point
     for _ in range(quarter_turns):
-        x, y = 2 * _LOW + _SIDE - 1 - y, x
+        x, y = 2 * low + _SIDE - 1 - y, x
     return x, y
 
 
@@ -489,13 +492,47 @@ class TestLineSkip:
 
     def test_a_clear_line_takes_one_letter(self):
         # a run through 4 tiles from the edge of the first, and one letter
-        # more: one letter is taken per tile, the last on its own
+        # more: the run's first letter is taken, its 4 whole tiles are
+        # crossed at once, and the last letter is taken on its own
         for turn in range(4):
             g = QuadGraph(_turned((_LOW - 1, _LOW + 5), turn))
             word = rotate("0" * (4 * _SIDE + 1), turn)
             codes = _Codes(word.encode().translate(_CODES))
             assert g._first_revisit(codes) is None
-            assert codes.letters.taken == 5
+            assert codes.letters.taken == 2
+
+    def test_runs_across_several_whole_tiles(self):
+        # runs of 2-5 whole tiles and 0, 1 or 31 letters more enter the
+        # tile (8, 8) at each offset of each edge and end the word, or turn
+        # up or down, so that the runs of 0 more letters turn on a tile
+        # edge, and come back along the next line to close a loop
+        low = 8 * _SIDE
+        for turn in range(4):
+            for k in range(_SIDE):
+                start = _turned((low - 1, low + k), turn, low)
+                for tiles in range(2, 6):
+                    for more in (0, 1, _SIDE - 1):
+                        run = "0" * (tiles * _SIDE + more)
+                        back = "2" * len(run)
+                        for word in (run, run + "1" + back + "3", run + "3" + back + "1"):
+                            i = self.walk_whole(start, rotate(word, turn))
+                            assert i == (None if word == run else len(word))
+
+    def test_a_mark_on_the_run_stops_it_in_each_tile(self):
+        # start on point p of line k in tile j of a run of 5 whole tiles
+        # from the tile (8, 8), step off the line, and come back to the
+        # edge before the first tile: the run crosses j whole tiles and is
+        # walked letter by letter in tile j, where it revisits the start
+        low = 8 * _SIDE
+        for turn in range(4):
+            for k in (0, 7, _SIDE - 1):
+                for j in range(5):
+                    for p in range(_SIDE):
+                        gap = j * _SIDE + p + 1  # letters from the edge to the start
+                        start = _turned((low - 1 + gap, low + k), turn, low)
+                        word = "1" + "2" * gap + "3" + "0" * (5 * _SIDE + 1)
+                        i = self.walk_whole(start, rotate(word, turn))
+                        assert i == 2 * gap + 2
 
     def test_a_mark_on_the_line_is_found_at_each_point(self):
         # start on point j of line k, step off it, and come back into the
