@@ -27,9 +27,16 @@ class ChainFileError(ValueError):
 
 
 def parse_chain_file(data):
-    """Parse chain-file text (bytes or str) into a tuple of ChainRecords."""
-    binary = isinstance(data, (bytes, bytearray))
-    text = data.decode("utf-8-sig") if binary else data.removeprefix("\ufeff")
+    """Parse chain-file text (str, bytes or bytearray) into a tuple of
+    ChainRecords."""
+    if isinstance(data, (bytes, bytearray)):
+        text = data.decode("utf-8-sig")
+    elif isinstance(data, str):
+        text = data.removeprefix("\ufeff")
+    else:
+        raise TypeError(
+            f"data must be str, bytes or bytearray, not {type(data).__name__}"
+        )
     records = []
     labels = set()
     for lineno, raw in enumerate(text.split("\n"), 1):

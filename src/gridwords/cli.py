@@ -43,7 +43,7 @@ def _collect_records(inputs):
     records = []
     for item in inputs:
         if item == "-":
-            records.extend(parse_chain_file(sys.stdin.read()))
+            records.extend(parse_chain_file(sys.stdin.buffer.read()))
         elif not item.strip("0123"):
             records.append(ChainRecord(item))
         elif os.path.exists(item):

@@ -43,32 +43,21 @@ def gen_random_polyomino(cells, seed=None):
     frontier = [c + 1, c + w, c - 1, c - w]
     append = frontier.append
     left = cells - 1
-    misses = 0
+    # The draws end.  The cell right of the top cell of the rightmost
+    # column was pushed when that cell grew, and it is always addable.  It
+    # is not grown, so only a pick that grows it pops it.
     while left:
-        if misses <= 64:
-            # randrange(n), inlined: the same draws from the same generator
-            n = len(frontier)
-            k = n.bit_length()
+        # randrange(n), inlined: the same draws from the same generator
+        n = len(frontier)
+        k = n.bit_length()
+        i = bits(k)
+        while i >= n:
             i = bits(k)
-            while i >= n:
-                i = bits(k)
-            c = frontier[i]
-            if c in grown:
-                frontier[i] = frontier[-1]
-                frontier.pop()
-                continue
-        else:
-            # Rare stall on pathological perimeters: after 65 misses in a
-            # row, try the candidates in frontier order, the one at index
-            # misses - 65 next.  An addable one always exists (e.g. beside
-            # the top of the rightmost column).
-            i = misses - 65
-            if i == len(frontier):
-                raise RuntimeError("no addable perimeter cell")
-            c = frontier[i]
-            if c in grown:
-                misses += 1
-                continue
+        c = frontier[i]
+        if c in grown:
+            frontier[i] = frontier[-1]
+            frontier.pop()
+            continue
         ring = (
             (c + 1 in grown) | (c + ne in grown) << 1
             | (c + w in grown) << 2 | (c + nw in grown) << 3
@@ -76,9 +65,7 @@ def gen_random_polyomino(cells, seed=None):
             | (c - w in grown) << 6 | (c - nw in grown) << 7
         )
         if not _ADDABLE[ring]:
-            misses += 1
             continue
-        misses = 0
         frontier[i] = frontier[-1]
         frontier.pop()
         grown.add(c)

@@ -129,6 +129,17 @@ class TestErrors:
         assert (excinfo.value.line, excinfo.value.column) == (1, 1)
         assert "invalid character 'a'" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "data",
+        [None, 5, ["0123"], memoryview(b"0123")],
+        ids=["None", "int", "list", "memoryview"],
+    )
+    def test_data_of_another_type(self, data):
+        name = type(data).__name__
+        message = f"data must be str, bytes or bytearray, not {name}$"
+        with pytest.raises(TypeError, match=f"^{message}"):
+            parse_chain_file(data)
+
     def test_is_value_error(self):
         # callers that only care about failure can catch ValueError
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -71,13 +75,42 @@ class TestInputHandling:
         assert err.startswith("error:")
 
     def test_stdin_records(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("# two\nsq: 0123\nell: 00121233\n")
-        )
+        data = io.BytesIO(b"# two\nsq: 0123\nell: 00121233\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(data, encoding="utf-8"))
         rc, out, _ = run(capsys, "analyze", "-")
         lines = out.splitlines()
         assert lines[0].startswith("name=sq word=0123")
         assert lines[1].startswith("name=ell word=00121233")
+
+    def test_stdin_is_decoded_like_a_chain_file(self, tmp_path):
+        # UTF-8 with a leading byte-order mark ignored, whatever the
+        # locale's or PYTHONIOENCODING's text encoding says
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONIOENCODING="latin-1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(src), env.get("PYTHONPATH")))
+        )
+
+        def gridwords(*argv, stdin=b""):
+            return subprocess.run(
+                [sys.executable, "-m", "gridwords.cli", *argv],
+                input=stdin, capture_output=True, env=env, timeout=60,
+            )
+
+        bom = "\ufeffsq: 0123\nell: 00121233\n".encode()
+        f = tmp_path / "bom.chain"
+        f.write_bytes(bom)
+        by_path = gridwords("analyze", str(f))
+        by_stdin = gridwords("analyze", "-", stdin=bom)
+        assert by_path.returncode == by_stdin.returncode == 0
+        assert by_stdin.stdout == by_path.stdout
+        assert by_stdin.stdout.startswith(b"name=sq word=0123 ")
+
+        bad = gridwords("analyze", "-", stdin="w: 01\u00e93\n".encode())
+        assert bad.returncode == 2 and bad.stdout == b""
+        assert bad.stderr.decode("latin-1") == (
+            "error: line 1, column 6: invalid character '\u00e9'\n"
+        )
 
     def test_file_records(self, capsys, tmp_path):
         f = tmp_path / "shapes.chain"

@@ -85,38 +85,62 @@ class TestFrozenOutput:
         assert _sha256(gen_random_polyomino(cells, seed=cells)) == digest
 
 
-class _StallingRandom:
-    """Grows the U {(0,0), (1,0), (2,0), (0,1), (2,1), (0,2), (2,2)}, then
-    keeps picking frontier index 11, first the cell (1,2) that would close
-    the U into a hole.  The generator draws an index below n as
-    getrandbits(n.bit_length()), again while it is n or more; every
-    scripted index is below the frontier's length, so each pick is one
-    draw."""
+class _ScriptedRandom:
+    """Draws the scripted indices, and fails once they run out.
+
+    Relative to the first cell, the first six grow the U {(0,0), (1,0),
+    (2,0), (0,1), (2,1), (0,2), (2,2)}.  Index 11 then names (1,2), which
+    would close the U round a hole, 200 times.  Index 4 grows (1,1), the
+    hole, and the cell (1,2) it pushes is appended last.  Index 7 names a
+    second entry for (1,1), now grown, which is swap-popped, so (1,2)
+    moves to index 7, and the last pick grows it.  The generator draws an
+    index below n as getrandbits(n.bit_length()), again while it is n or
+    more; every scripted index is below the frontier's length, so each
+    pick is one draw."""
+
+    SCRIPT = (0, 3, 1, 6, 8, 10) + (11,) * 200 + (4, 7, 7)
 
     def __init__(self, seed=None):
         self.calls = []
 
     def getrandbits(self, k):
-        script = (0, 3, 1, 6, 8, 10)
-        i = script[len(self.calls)] if len(self.calls) < len(script) else 11
+        i = self.SCRIPT[len(self.calls)]
         self.calls.append(k)
-        return min(i, (1 << k) - 1)
+        return i
 
 
-def test_stall_falls_back_to_first_addable_cell(monkeypatch):
+class _CountingTable:
+    """The addable table, recording the ring byte of every lookup."""
+
+    def __init__(self, table):
+        self.table = table
+        self.rings = []
+
+    def __getitem__(self, ring):
+        self.rings.append(ring)
+        return self.table[ring]
+
+
+def test_scripted_picks_drop_grown_entries_and_keep_blocked_ones(monkeypatch):
     stubs = []
 
     def make(seed=None):
-        stubs.append(_StallingRandom(seed))
+        stubs.append(_ScriptedRandom(seed))
         return stubs[-1]
 
+    table = _CountingTable(gridwords.generate._ADDABLE)
     monkeypatch.setattr(gridwords.generate, "random", SimpleNamespace(Random=make))
-    word = gen_random_polyomino(12, seed=0)
-    # six picks grow the U; each of the five later cells comes from the
-    # fallback after 65 misses in a row
-    assert len(stubs[0].calls) == 6 + 5 * 65
-    assert word == "01110330111112332112333333"
-    assert len(enclosed_cells(word)) == 12 and is_simple(word)
+    monkeypatch.setattr(gridwords.generate, "_ADDABLE", table)
+    word = gen_random_polyomino(9, seed=0)
+    assert len(stubs[0].calls) == len(_ScriptedRandom.SCRIPT) == 209
+    # one ring test per pick but the grown entry's
+    assert len(table.rings) == 208
+    # (1,2) touches (2,2), (0,2), (0,1) and (2,1): not addable until (1,1)
+    # grows below it
+    assert table.rings[6:206] == [0b10110001] * 200
+    assert table.rings[-1] == 0b11110001
+    assert word == "000111222333"
+    assert len(enclosed_cells(word)) == 9 and is_simple(word)
 
 
 class _BoundedRandom(random.Random):

@@ -47,7 +47,7 @@ def run(command, fmt, word):
     """One CLI call, as the transcript records it."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(README_FILE)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(README_FILE.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--format", fmt, word])
