@@ -24,9 +24,9 @@ _REF = tuple(
     for i in range(4)
 )
 
-# Letter pairs that turn left (difference 1), and the pairs that cancel
-# (difference 2).
-_LEFT = ("01", "12", "23", "30")
+# Letter pairs that turn left (difference 1) besides the wrap 30, and the
+# pairs that cancel (difference 2).
+_LEFT = ("01", "12", "23")
 _HALF = ("02", "20", "13", "31")
 _CANCEL = re.compile("|".join(_HALF).encode())
 
@@ -86,9 +86,10 @@ def reduce(word, circular=False):
     return _reduce(_validate(word), circular)
 
 
-def _reduce(word, circular):
-    """reduce on a word whose letters the caller has already checked."""
-    if not any(pair in word for pair in _HALF) and not (
+def _reduce(word, circular, start=0):
+    """reduce on a word whose letters the caller has already checked, and
+    in which no cancelling pair begins before index `start`."""
+    if not any(word.find(pair, start) >= 0 for pair in _HALF) and not (
         circular and word and (ord(word[0]) - ord(word[-1])) % 4 == 2
     ):
         return word
@@ -192,18 +193,27 @@ def path_facts(word):
     simple word has no cancelling pair, and a simple closed word none
     across its seam either, since a last step that undid the first would
     revisit the first vertex early; so only a word that is not simple is
-    reduced before `_turns` counts T, read cyclically when closed.  corners
-    is (S, R) for a boundary word, a non-empty closed simple word, else
-    None: its left turns L, seam included, and its right turns L - T.
+    reduced before `_turns` counts T, read cyclically when closed; a pair
+    at letters j-1, j revisits by letter j + 1, so no pair begins before
+    the first revisit less 2.  corners is (S, R) for a boundary word, a
+    non-empty closed simple word, else None: its left turns L, seam
+    included, and its right turns L - T.  With the seam, T = 4 (#30 - #03)
+    and L = #01 + #12 + #23 + #30: five bigram counts.
     """
     counts, hit = _walk(word)
     simple = simple_from_revisit(word, hit)
     closed = _balanced(counts)
-    turning = _turns(word if simple else _reduce(word, closed), closed)
     corners = None
-    if closed and simple and word:
-        left = sum(map((word + word[0]).count, _LEFT))
+    if not simple:
+        turning = _turns(_reduce(word, closed, hit[0] - 2), closed)
+    elif closed and word:
+        seamed = word + word[0]
+        wraps = seamed.count("30")
+        turning = 4 * (wraps - seamed.count("03"))
+        left = wraps + sum(map(seamed.count, _LEFT))
         corners = max(left, left - turning), min(left, left - turning)
+    else:
+        turning = _turns(word, closed)
     return closed, simple, TurningNumber(turning), corners
 
 

@@ -2,7 +2,11 @@
 
 `#` starts a comment; whitespace inside the word is ignored; labels must
 be unique and come before any `@`.  UTF-8, LF or CRLF; a leading
-byte-order mark is ignored.
+byte-order mark is ignored, and a byte that is not UTF-8 is an error at
+its line and column.  A word's letters are checked by deleting `0123` from
+its UTF-8 bytes, which leaves nothing exactly when all are chain letters
+(the bytes of other characters are not ASCII); only a word that fails
+loses its inner whitespace and is checked again.
 """
 
 import re
@@ -30,7 +34,13 @@ def parse_chain_file(data):
     """Parse chain-file text (str, bytes or bytearray) into a tuple of
     ChainRecords."""
     if isinstance(data, (bytes, bytearray)):
-        text = data.decode("utf-8-sig")
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # `object` has no byte-order mark
+            head = exc.object[: exc.start].decode()
+            row, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+            bad = f"invalid UTF-8 byte {exc.object[exc.start]:#04x}"
+            raise ChainFileError(bad, row, column) from None
     elif isinstance(data, str):
         text = data.removeprefix("\ufeff")
     else:
@@ -59,12 +69,13 @@ def parse_chain_file(data):
                 raise ChainFileError(f"duplicate label {name!r}", lineno)
             labels.add(name)
             body_start = colon + 1
-        body = line[body_start:word_end]
-        word = "".join(body.split())
-        if sum(map(word.count, "0123")) != len(word):  # strip only to name it
-            bad = word.strip("0123")[0]
-            column = body_start + body.index(bad) + 1
-            raise ChainFileError(f"invalid character {bad!r}", lineno, column)
+        word = line[body_start:word_end].strip()
+        if word.encode(errors="surrogatepass").translate(None, b"0123"):
+            word = "".join(word.split())
+            bad = word.strip("0123")[:1]
+            if bad:
+                column = line.index(bad, body_start) + 1
+                raise ChainFileError(f"invalid character {bad!r}", lineno, column)
         start = None
         if at != -1:
             fields = line[at + 1 :].split()

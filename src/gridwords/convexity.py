@@ -86,7 +86,7 @@ def _split(word):
     if not 0 < cs <= ce <= cn:
         raise ValueError("extremal points out of cyclic order")
     arcs = (rotated[:cs], rotated[cs:ce], rotated[ce:cn], rotated[cn:])
-    corners = (_point_after(rotated, c) for c in (cs, ce, cn))
+    corners = (_point_after(rotated, c, (0, 0)) for c in (cs, ce, cn))
     return ExtremalSplit(rotated, arcs, (0, 0), *corners)
 
 

@@ -274,10 +274,18 @@ def letter_counts(word):
     return counts
 
 
-def _point_after(word, i):
-    """The point word[:i] reaches from (0,0), (#0 - #2, #1 - #3), unsliced."""
+def _point_after(word, i, end):
+    """The point word[:i] reaches from (0,0), (#0 - #2, #1 - #3), unsliced:
+    `end`, the whole word's, at i = len(word), less the suffix's counts for
+    i past the middle, else the prefix's counts."""
+    n = len(word)
+    if i == n:
+        return end
     count = word.count
-    return count("0", 0, i) - count("2", 0, i), count("1", 0, i) - count("3", 0, i)
+    if 2 * i <= n:
+        return count("0", 0, i) - count("2", 0, i), count("1", 0, i) - count("3", 0, i)
+    x, y = end
+    return x - count("0", i) + count("2", i), y - count("1", i) + count("3", i)
 
 
 @functools.lru_cache(maxsize=1)
@@ -291,9 +299,11 @@ def _walk(word):
     The last word walked stays alive until the next walk; `cache_info()`
     counts hits and real walks.
     """
-    counts = letter_counts(word)
-    i = QuadGraph(counts[2:])._first_revisit(word.encode().translate(_CODES))
-    return counts, None if i is None else (i, _point_after(word, i))
+    right, up, left, down = counts = letter_counts(word)
+    i = QuadGraph((left, down))._first_revisit(word.encode().translate(_CODES))
+    if i is None:
+        return counts, None
+    return counts, (i, _point_after(word, i, (right - left, up - down)))
 
 
 def detect_first_intersection(word):

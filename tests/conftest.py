@@ -42,9 +42,9 @@ def calls(monkeypatch):
             counts["walk"] += 1
             super().__init__(start)
 
-    def counted_reduce(word, circular):
+    def counted_reduce(word, circular, *args):
         counts["reduce"] += 1
-        return reduce(word, circular)
+        return reduce(word, circular, *args)
 
     def counted_accumulate(*args, **kwargs):
         counts["key_passes"] += 1

@@ -78,6 +78,32 @@ class TestErrors:
         cf = parse_chain_file("w:\t01\u00a02\u20003 3\n")
         assert cf[0].word == "01233"
 
+    def test_location_after_stripped_and_inner_whitespace(self):
+        # the word is stripped at both ends and joined only to find the
+        # bad letter, whose column still counts every character before it
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("0\r\nw: \u2000 01 \t2\u00a0x3 \r\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 12)
+        assert "invalid character 'x'" in str(excinfo.value)
+
+    def test_lone_surrogate_is_an_invalid_character(self):
+        # str input may hold one; the letter check's UTF-8 bytes keep it
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("w: 0\ud80012\n")
+        assert str(excinfo.value) == "line 1, column 5: invalid character '\\ud800'"
+
+    def test_invalid_utf8_location(self):
+        data = b"a: 0123\nb: 01\xff23\n"
+        for text in (data, bytearray(data), b"\xef\xbb\xbf" + data):
+            with pytest.raises(ChainFileError) as excinfo:
+                parse_chain_file(text)
+            assert (excinfo.value.line, excinfo.value.column) == (2, 6)
+            assert str(excinfo.value) == "line 2, column 6: invalid UTF-8 byte 0xff"
+        # columns count characters, and a leading byte-order mark none
+        with pytest.raises(ChainFileError) as excinfo:
+            parse_chain_file("\ufeffw: \u00e9\u20ac".encode() + b"\xe2\x82")
+        assert str(excinfo.value) == "line 1, column 6: invalid UTF-8 byte 0xe2"
+
     def test_location_at_the_end_of_a_long_record(self):
         # the last of 2^16 letters, with a space after every fourth
         with pytest.raises(ChainFileError) as excinfo:
@@ -181,3 +207,45 @@ def chain_files(draw):
 @given(chain_files())
 def test_parse_inverts_serialize(chain_file):
     assert parse_chain_file(serialize_chain_file(chain_file)) == chain_file
+
+
+@st.composite
+def spaced_records(draw):
+    """(text, records): lines of letters among spaces, tabs, U+00A0 and
+    U+2000, some labelled, each ended by LF or CRLF, and the records that
+    `"".join(body.split())` makes of them."""
+    text, records = [], []
+    for k in range(draw(st.integers(0, 6))):
+        body = draw(st.text("0123 \t\u00a0\u2000", max_size=40))
+        label = draw(st.sampled_from([None, f"w{k}"]))
+        text.append(body if label is None else f"{label}:{body}")
+        text.append(draw(st.sampled_from(["\n", "\r\n"])))
+        if label is not None or body.strip():
+            records.append(ChainRecord("".join(body.split()), label))
+    return "".join(text), tuple(records)
+
+
+@given(spaced_records())
+def test_whitespace_in_a_word_is_dropped(spaced):
+    text, records = spaced
+    assert parse_chain_file(text) == records
+    assert parse_chain_file(text.encode()) == records
+
+
+CHAIN_FILE_BYTES = st.one_of(
+    st.binary(max_size=60),
+    st.text(max_size=30).map(str.encode),
+    st.lists(st.sampled_from([
+        b"0", b"1", b"2", b"3", b"9", b"a", b" ", b"\t", b"\n", b"\r", b":",
+        b"@", b"#", b"-", b"\xff", b"\xc3", b"\xa9", b"\xe2\x80\x80",
+        b"\xef\xbb\xbf",
+    ]), max_size=30).map(b"".join),
+)
+
+
+@given(CHAIN_FILE_BYTES)
+def test_any_bytes_parse_or_raise_chain_file_error(data):
+    try:
+        parse_chain_file(data)
+    except ChainFileError:
+        pass

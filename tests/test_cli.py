@@ -112,6 +112,13 @@ class TestInputHandling:
             "error: line 1, column 6: invalid character '\u00e9'\n"
         )
 
+        not_utf8 = b"a: 0123\nb: 01\xff23\n"
+        f.write_bytes(not_utf8)
+        by_path = gridwords("analyze", str(f))
+        for bad in (by_path, gridwords("analyze", "-", stdin=not_utf8)):
+            assert bad.returncode == 2 and bad.stdout == b""
+            assert bad.stderr == b"error: line 2, column 6: invalid UTF-8 byte 0xff\n"
+
     def test_file_records(self, capsys, tmp_path):
         f = tmp_path / "shapes.chain"
         f.write_text("sq: 0123 @ 2 3\n")

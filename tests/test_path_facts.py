@@ -1,6 +1,8 @@
 """path_facts against the oracles, and one walk per boundary verdict."""
 
+import re
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from random import Random
 
@@ -11,6 +13,7 @@ from gridwords import (
     chain,
     cli,
     convexity,
+    detect_first_intersection,
     enclosed_cells,
     gen_random_polyomino,
     hat,
@@ -139,6 +142,115 @@ def test_turning_matches_the_reduce_route_on_seeded_words():
         for circular in (False, True) if closed else (False,):
             turning = turning_number(word, circular=circular).quarter_turns
             assert turning == oracle_quarter_turns(word, circular), (k, circular)
+
+
+_PAIRS = re.compile("(?=02|20|13|31)")
+
+
+def test_no_cancelling_pair_begins_before_the_first_revisit_less_2():
+    # a pair at letters j-1, j returns to the vertex before it, so the
+    # first revisit i comes by letter j + 1: path_facts reduces from i - 2
+    for k in range(9):
+        for letters in product("0123", repeat=k):
+            word = "".join(letters)
+            pair = _PAIRS.search(word)
+            if pair:
+                assert pair.start() >= first_intersection_oracle(word)[0] - 2, word
+
+
+def _rows(n, width):
+    """The first n letters of a climb in rows `width` steps wide, right
+    along one row and left along the next: simple, with no cancelling
+    pair."""
+    row = "0" * width + "1" + "2" * width + "1"
+    return (row * (n // len(row) + 1))[:n]
+
+
+def _no_pair(rng, last, n):
+    """n random letters after `last`, none of which undoes the one before."""
+    letters = []
+    for _ in range(n):
+        last = rng.choice("0123".replace("2301"[int(last)], ""))
+        letters.append(last)
+    return "".join(letters)
+
+
+def _revisit_then_pair(rng, n, share):
+    """A climb cut about share * n letters in, a step down onto the row
+    below it (the first revisit), then letters whose one cancelling pair
+    lies halfway along them."""
+    head = _rows(int(share * n), rng.randrange(20, 60)).rstrip("1") + "3"
+    first = _no_pair(rng, "3", (n - len(head)) // 2)
+    pair = _no_pair(rng, first[-1], 1)
+    pair += "2301"[int(pair)]
+    return head + first + pair + _no_pair(rng, pair[1], n - len(head) - len(first) - 2)
+
+
+def _pair_at_the_revisit(rng, n):
+    """A climb, then a step up and straight back (a cancelling pair whose
+    second letter is the first revisit), then letters with no pair."""
+    head = _rows(n // 2, rng.randrange(20, 60)) + "13"
+    return head + _no_pair(rng, "3", n - len(head))
+
+
+def _there_and_back(rng, n):
+    """A climb and its hat: closed, its one cancelling pair at the turn."""
+    word = _rows(n // 2, rng.randrange(20, 60))
+    return word + hat(word)
+
+
+def _loop_twice(rng, n):
+    """A rectangle's boundary twice round: closed, no cancelling pair, and
+    the first revisit exactly halfway."""
+    width = rng.randrange(1, n // 4)
+    loop = "0" * width + "1" * (n // 4 - width)
+    return (loop + loop.translate(str.maketrans("01", "23"))) * 2
+
+
+def _closed_climb(rng, n):
+    """Whole rows of a climb, a step left and straight down to the start:
+    a boundary word, whose first revisit is its closing return."""
+    width = rng.randrange(20, 60)
+    rows = n // (2 * width + 2)
+    return _rows(rows * (2 * width + 2), width) + "2" + "3" * (2 * rows) + "0"
+
+
+# builder, where the first revisit i falls, and where the first cancelling
+# pair begins against i - 2
+LONG_WORDS = {
+    "early-revisit": (partial(_revisit_then_pair, share=0.3), "first half", "after"),
+    "late-revisit": (partial(_revisit_then_pair, share=0.8), "second half", "after"),
+    "pair-at-the-revisit": (_pair_at_the_revisit, "second half", "at"),
+    "there-and-back": (_there_and_back, "second half", "at"),
+    "loop-twice": (_loop_twice, "first half", None),
+    "closing-return": (_closed_climb, "closing return", None),
+    "closing-return-hat": (lambda *a: hat(_closed_climb(*a)), "closing return", None),
+}
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("case", LONG_WORDS)
+def test_revisit_point_and_turning_on_long_words(case, seed):
+    build, where, pair = LONG_WORDS[case]
+    rng = Random(seed)
+    word = build(rng, int(10 ** rng.uniform(3, 5)))
+    n = len(word)
+    assert 10**3 - 10 <= n <= 10**5
+    hit = detect_first_intersection(word)
+    assert hit == first_intersection_oracle(word)
+    i = hit[0]
+    assert where == (
+        "closing return" if i == n else "first half" if 2 * i <= n else "second half"
+    )
+    pairs = [m.start() for m in _PAIRS.finditer(word)]
+    if pair is None:
+        assert not pairs
+    elif pair == "at":
+        assert pairs[0] == i - 2
+    else:  # the word's one pair lies after the revisit
+        assert len(pairs) == 1 and pairs[0] > i
+    closed, _, turning, _ = path_facts(word)
+    assert turning.quarter_turns == oracle_quarter_turns(word, closed)
 
 
 def test_short_loops_have_no_corners():

@@ -300,7 +300,7 @@ class TestDetect:
         assert detect_first_intersection("") is None
 
     def test_exhaustive_short_words(self):
-        for n in range(1, 8):
+        for n in range(9):
             for tup in itertools.product("0123", repeat=n):
                 w = "".join(tup)
                 assert detect_first_intersection(w) == first_intersection_oracle(w)
